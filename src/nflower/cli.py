@@ -24,7 +24,6 @@ from .descartes import (
 from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt12
 from .euclid import (
     Circle,
-    NumericFailure,
     classic_descartes_residual,
     classic_descartes_scale,
     four_flower_poly_residual,
@@ -256,7 +255,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericFailure as exc:
+    except ArithmeticError as exc:  # NumericFailure, or OverflowError from a float
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

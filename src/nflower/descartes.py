@@ -6,11 +6,13 @@ the normalized petal curvatures.  The auxiliary variables
     m_0 = sqrt(k_0 + 1),   m_j = sqrt((k_j + 1)(k_{j-1} + 1) - 1)
 
 satisfy a single polynomial equation exactly when the curvatures close up
-into a flower.  Both sides of that equation are evaluated here in two
-independent ways (a complex product form and a real subset-sum form), the
-polynomial itself is expanded over the integers, and the central curvature
-solver cross-checks the equation's root against the geometric angle-sum
-oracle from the layout module.
+into a flower.  Its left side, Im prod_{j>=1}(m_j + i) (times m_0^2 for
+odd n), is evaluated three ways: as that complex product (the function the
+root bisection runs on), in phase form (the check of the geometric root) and
+as a subset sum of elementary symmetric polynomials (the public subset API).
+The polynomial itself is expanded over the integers, and the central
+curvature solver cross-checks the equation's root against the geometric
+angle-sum oracle from the layout module.
 
 The same m-variables drive a recursion producing spinor coordinates
 (xi_j, eta_j) of the flat flower: consecutive brackets are -1 by
@@ -41,7 +43,7 @@ from .hyperbolic import (
 )
 from .polynomial import PolynomialZZ
 
-# Exact expansion enumerates all subsets of {1..n-1} of one parity.
+# Cap for descartes_polynomial alone: its expansion has 2^(n-2) terms.
 MAX_POLYNOMIAL_N = 24
 
 _BRACKET_TOL = 1e-9
@@ -181,30 +183,26 @@ def _rhs_product(vals: Sequence[float]) -> float:
 
 def _subset_sum(vals: Sequence[float]) -> tuple[float, float]:
     """Signed and absolute subset sums over K in {1..n-1} with |K| = n-2-2l,
-    sign (-1)^l."""
+    sign (-1)^l, times m_0^2 for odd n.  The sum over |K| = k is the
+    elementary symmetric polynomial e_k of m_1..m_{n-1}, built in O(n^2)."""
     n = len(vals)
-    tail = vals[1:]
+    e = [1.0] + [0.0] * (n - 2)
+    for v in vals[1:]:
+        for k in range(n - 2, 0, -1):
+            e[k] += v * e[k - 1]
     signed = 0.0
     absolute = 0.0
-    for size in range(n - 2, -1, -2):
-        sign = 1.0 if ((n - 2 - size) // 2) % 2 == 0 else -1.0
-        for combo in combinations(tail, size):
-            p = 1.0
-            for v in combo:
-                p *= v
-            signed += sign * p
-            absolute += p
-    return signed, absolute
+    for i, size in enumerate(range(n - 2, -1, -2)):
+        signed += -e[size] if i % 2 else e[size]
+        absolute += e[size]
+    w = vals[0] * vals[0] if n % 2 else 1.0
+    return w * signed, w * absolute
 
 
 def descartes_lhs_subset(m: MVector | Sequence[float]) -> float:
     """Left side of the relation in subset-sum form (m_0^2 times the signed
     subset sum for odd n, the bare sum for even n)."""
-    vals = _m_values(m)
-    signed, _ = _subset_sum(vals)
-    if len(vals) % 2:
-        return vals[0] * vals[0] * signed
-    return signed
+    return _subset_sum(_m_values(m))[0]
 
 
 def descartes_residual_subset(m: MVector | Sequence[float]) -> float:
@@ -218,28 +216,26 @@ def descartes_residual_scale(m: MVector | Sequence[float]) -> float:
     """Total magnitude of the relation's terms; residuals are compared
     relative to this."""
     vals = _m_values(m)
-    _, absolute = _subset_sum(vals)
-    if len(vals) % 2:
-        absolute *= vals[0] * vals[0]
-    return absolute + _rhs_product(vals)
+    return _subset_sum(vals)[1] + _rhs_product(vals)
 
 
 def residual_with_scale(m: MVector | Sequence[float]) -> tuple[float, float]:
-    """Relation residual and term magnitude at a cost polynomial in n.
-
-    Uses the subset-sum form up to n = 24 petals; beyond that, subset
-    enumeration is impractical and the complex product form stands in, with
-    the product magnitude as the scale.
+    """Relation residual and term magnitude in O(n), in phase form: the lhs
+    Im prod_{j>=1}(m_j + i) is |P| sin(sum_j atan2(1, m_j)), times m_0^2 for
+    odd n, and the scale is that |P| (times m_0^2) plus the rhs product.
+    solve_report checks its geometric root with this; the root bisection runs
+    on descartes_residual_complex.  Overflow gives inf or nan, not an error.
     """
     vals = _m_values(m)
-    if len(vals) <= MAX_POLYNOMIAL_N:
-        return descartes_residual_subset(vals), descartes_residual_scale(vals)
+    theta = 0.0
     mag = 1.0
     for v in vals[1:]:
+        theta += math.atan2(1.0, v)
         mag *= math.hypot(v, 1.0)
     if len(vals) % 2:
-        mag *= max(1.0, vals[0] * vals[0])
-    return descartes_residual_complex(vals), mag + _rhs_product(vals)
+        mag *= vals[0] * vals[0]
+    rhs = _rhs_product(vals)
+    return mag * math.sin(theta) - rhs, mag + rhs
 
 
 def descartes_residual_complex(m: MVector | Sequence[float]) -> float:
@@ -490,7 +486,7 @@ class CentralSolve:
 
     central_curvature: float  # geometric (angle-sum) root
     polished_curvature: float  # root of the relation residual
-    residual: float  # subset-form residual at the geometric root
+    residual: float  # phase-form residual at the geometric root
     residual_scale: float
 
 
@@ -514,6 +510,8 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     k0 = 1.0 / R
     m = m_from_normalized([k / k0 for k in ks])
     res, scale = residual_with_scale(m)
+    if not (math.isfinite(res) and math.isfinite(scale)):
+        raise NumericFailure(f"relation residual is not finite at n = {len(ks)}: {res} vs {scale}")
     if abs(res) > tol * scale:
         raise NumericFailure(
             f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"

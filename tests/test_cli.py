@@ -255,6 +255,19 @@ class TestDispatch:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_float_overflow_maps_to_exit_3(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "nflower.cli", "solve", "1e-300,1,1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numeric failure")
+        assert "Traceback" not in proc.stderr
+
     def test_module_invocation(self):
         import subprocess
         import sys

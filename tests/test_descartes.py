@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -20,6 +21,7 @@ from nflower.descartes import (
     m_from_normalized,
     normalize_curvatures,
     parallelogram_invariants,
+    residual_with_scale,
     solve_central_curvature,
     solve_report,
     spinor_recursion,
@@ -40,6 +42,20 @@ def random_m(rng, n, low=0.0, high=10.0):
 
 def random_petals(rng, n):
     return [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+
+
+def enumerated_relation(m):
+    """(lhs, absolute term sum, rhs) of the relation by enumerating every
+    subset K of {1..n-1} with |K| = n-2-2i, sign (-1)^i."""
+    n = len(m)
+    signed = absolute = 0.0
+    for i, size in enumerate(range(n - 2, -1, -2)):
+        for combo in itertools.combinations(m[1:], size):
+            signed += (-1.0) ** i * math.prod(combo)
+            absolute += math.prod(combo)
+    w = m[0] ** 2 if n % 2 else 1.0
+    rhs = math.prod(m[k] ** 2 + 1.0 for k in range(2 - n % 2, n - 1, 2))
+    return w * signed, w * absolute, rhs
 
 
 class TestMVector:
@@ -154,6 +170,26 @@ class TestResidualForms:
     def test_rejects_short_vectors(self):
         with pytest.raises(ValueError):
             descartes_residual_subset((1.0, 2.0))
+
+    def test_subset_forms_match_enumeration(self):
+        rng = random.Random(34)
+        for n in range(3, 13):
+            for _ in range(20):
+                m = random_m(rng, n)
+                lhs, absolute, rhs = enumerated_relation(m)
+                tol = 1e-12 * absolute
+                assert abs(descartes_lhs_subset(m) - lhs) <= tol
+                assert abs(descartes_residual_subset(m) - (lhs - rhs)) <= tol
+                assert abs(descartes_residual_scale(m) - (absolute + rhs)) <= tol
+
+    def test_phase_form_matches_subset_form(self):
+        rng = random.Random(35)
+        for n in range(3, 17):
+            for _ in range(20):
+                m = random_m(rng, n)
+                res, scale = residual_with_scale(m)
+                assert abs(res - descartes_residual_subset(m)) <= 1e-12 * scale
+                assert abs(res) <= scale
 
 
 class TestSpinorRecursion:
@@ -383,13 +419,45 @@ class TestCentralCurvatureSolver:
             solve_central_curvature([1.0, 1.0, 1.0], tol=-1.0)
 
     def test_many_petals_uses_polynomial_cost_route(self):
-        # Beyond the exact-expansion cap the check falls back to the complex
-        # product form; a 30-petal flower must still solve quickly.
+        # Past the exact-expansion cap a 30-petal flower must still solve
+        # quickly.
         petals = [1.0 + 0.1 * (j % 5) for j in range(30)]
         rep = solve_report(petals)
         assert abs(rep.residual) <= 1e-9 * rep.residual_scale
         g = geometric_spinor_chain(petals)
         assert abs(flat_flower_residual(flat_curvatures(g.chain))) < 1e-10
+
+
+    @pytest.mark.parametrize("n", [13, 20, 24, 25, 60, 120])
+    def test_equal_petals_closed_form(self, n):
+        s = math.sin(math.pi / n)
+        for k in (1.0, 3.5):
+            rep = solve_report([k] * n)
+            assert rep.central_curvature == pytest.approx(k * s / (1.0 - s), rel=1e-9)
+            assert abs(rep.residual) <= 1e-9 * rep.residual_scale
+
+    def test_random_flowers_around_former_cap(self):
+        rng = random.Random(36)
+        for n in range(21, 27):
+            petals = random_petals(rng, n)
+            rep = solve_report(petals)
+            assert abs(rep.polished_curvature - rep.central_curvature) <= 1e-9 * max(
+                1.0, rep.central_curvature
+            )
+            assert abs(rep.residual) <= 1e-9 * rep.residual_scale
+
+    def test_overflowing_relation_raises(self):
+        with pytest.raises(NumericFailure) as exc:
+            solve_report([1.0] * 200)
+        assert "not finite" in str(exc.value) and "200" in str(exc.value)
+        assert "does not change sign" not in str(exc.value)
+
+    @pytest.mark.parametrize("res, scale", [(math.nan, math.inf), (-math.inf, math.inf)])
+    def test_non_finite_residual_rejected(self, monkeypatch, res, scale):
+        # abs(-inf) <= tol * inf holds, so the tolerance test alone passes it
+        monkeypatch.setattr("nflower.descartes.residual_with_scale", lambda m: (res, scale))
+        with pytest.raises(NumericFailure, match="not finite"):
+            solve_report([1.0, 1.0, 1.0])
 
 
 class TestChainValidation:
