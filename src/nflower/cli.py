@@ -15,6 +15,7 @@ import sys
 from typing import Sequence
 
 from .descartes import (
+    MAX_POLYNOMIAL_N,
     m_from_normalized,
     residual_with_scale,
     solve_report,
@@ -195,10 +196,7 @@ def cmd_spinors(args) -> int:
 
 
 def cmd_polynomial(args) -> int:
-    n = args.n
-    if not 3 <= n <= 24:
-        raise ValueError("polynomial order must be between 3 and 24")
-    sys.stdout.write(descartes_polynomial(n).serialize())
+    sys.stdout.write(descartes_polynomial(args.n).serialize())
     return 0
 
 
@@ -236,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spinors)
 
     p = sub.add_parser("polynomial", parents=[common], help="integer relation polynomial")
-    p.add_argument("n", type=int, help="number of petals (3..24)")
+    p.add_argument("n", type=int, help=f"number of petals (3..{MAX_POLYNOMIAL_N})")
     p.set_defaults(func=cmd_polynomial)
     return parser
 

@@ -7,12 +7,13 @@ the normalized petal curvatures.  The auxiliary variables
 
 satisfy a single polynomial equation exactly when the curvatures close up
 into a flower.  Its left side, Im prod_{j>=1}(m_j + i) (times m_0^2 for
-odd n), is evaluated three ways: as that complex product (the function the
-root bisection runs on), in phase form (the check of the geometric root) and
-as a subset sum of elementary symmetric polynomials (the public subset API).
-The polynomial itself is expanded over the integers, and the central
-curvature solver cross-checks the equation's root against the geometric
-angle-sum oracle from the layout module.
+odd n), is evaluated three ways: in phase form, O(n), on the whole solve path
+(both the check of the geometric root and the root bisection); as that
+complex product and as a subset sum of elementary symmetric polynomials,
+which are public API and the tests' reference forms.  The polynomial itself
+is expanded over the integers, and the central curvature solver cross-checks
+the equation's root against the geometric angle-sum oracle from the layout
+module.
 
 The same m-variables drive a recursion producing spinor coordinates
 (xi_j, eta_j) of the flat flower: consecutive brackets are -1 by
@@ -123,21 +124,21 @@ def normalize_curvatures(flower: FlowerSpec) -> list[float]:
     return [k / flower.central_curvature for k in flower.petal_curvatures]
 
 
-def m_from_normalized(kappas: Sequence[float]) -> MVector:
-    """m-variables of normalized petal curvatures (central curvature 1)."""
-    ks = [float(k) for k in kappas]
-    if len(ks) < 3:
+def _m_tuple(kappas: Sequence[float]) -> tuple[float, ...]:
+    """m-variables of normalized petal curvatures as a plain tuple."""
+    ps = [k + 1.0 for k in map(float, kappas)]
+    if len(ps) < 3:
         raise ValueError("need at least 3 petal curvatures")
-    out = []
-    for j, k in enumerate(ks):
-        if j == 0:
-            rad = k + 1.0
-        else:
-            rad = (k + 1.0) * (ks[j - 1] + 1.0) - 1.0
+    rads = [ps[0]] + [a * b - 1.0 for a, b in zip(ps[1:], ps)]
+    for j, rad in enumerate(rads):
         if rad < 0.0:
             raise ValueError(f"negative radicand {rad} at index {j}")
-        out.append(math.sqrt(rad))
-    return MVector(tuple(out))
+    return tuple(map(math.sqrt, rads))
+
+
+def m_from_normalized(kappas: Sequence[float]) -> MVector:
+    """m-variables of normalized petal curvatures (central curvature 1)."""
+    return MVector(_m_tuple(kappas))
 
 
 def kappa_plus_one(m: MVector | Sequence[float], j: int) -> float:
@@ -223,10 +224,13 @@ def residual_with_scale(m: MVector | Sequence[float]) -> tuple[float, float]:
     """Relation residual and term magnitude in O(n), in phase form: the lhs
     Im prod_{j>=1}(m_j + i) is |P| sin(sum_j atan2(1, m_j)), times m_0^2 for
     odd n, and the scale is that |P| (times m_0^2) plus the rhs product.
-    solve_report checks its geometric root with this; the root bisection runs
-    on descartes_residual_complex.  Overflow gives inf or nan, not an error.
+    solve_report runs both its check of the geometric root and its root
+    bisection on this form.  Overflow gives inf or nan, not an error.
     """
-    vals = _m_values(m)
+    return _phase_form(_m_values(m))
+
+
+def _phase_form(vals: tuple[float, ...]) -> tuple[float, float]:
     theta = 0.0
     mag = 1.0
     for v in vals[1:]:
@@ -242,7 +246,8 @@ def descartes_residual_complex(m: MVector | Sequence[float]) -> float:
     """Relation residual via the complex product form
     (i/2)(prod(m_j - i) - prod(m_j + i)), times m_0^2 for odd n, minus the
     same rhs product.  The intermediate value must be real; a residual
-    imaginary part beyond rounding noise raises NumericFailure."""
+    imaginary part beyond rounding noise raises NumericFailure.  Public API
+    and a reference form for the tests; the solver uses the phase form."""
     vals = _m_values(m)
     p_minus = complex(1.0, 0.0)
     p_plus = complex(1.0, 0.0)
@@ -496,7 +501,10 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     The geometric root comes from the angle-sum bisection on radii; the
     relation residual at that root must vanish to `tol` relative to the term
     magnitude, and an independent bisection of the residual inside a +-10%
-    bracket must land on the same root to `tol`.
+    bracket must land on the same root to `tol`.  Both the check and the
+    bisection evaluate the relation in phase form (see residual_with_scale);
+    a NaN residual at a bracket end or midpoint raises NumericFailure, while
+    +-inf still counts by its sign.
     """
     ks = [float(k) for k in petals]
     if len(ks) < 3:
@@ -506,19 +514,23 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
+    n = len(ks)
     R = solve_central_radius([1.0 / k for k in ks])
     k0 = 1.0 / R
     m = m_from_normalized([k / k0 for k in ks])
     res, scale = residual_with_scale(m)
     if not (math.isfinite(res) and math.isfinite(scale)):
-        raise NumericFailure(f"relation residual is not finite at n = {len(ks)}: {res} vs {scale}")
+        raise NumericFailure(f"relation residual is not finite at n = {n}: {res} vs {scale}")
     if abs(res) > tol * scale:
         raise NumericFailure(
             f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"
         )
 
     def f(k: float) -> float:
-        return descartes_residual_complex(m_from_normalized([p / k for p in ks]))
+        fk = _phase_form(_m_tuple([p / k for p in ks]))[0]
+        if math.isnan(fk):
+            raise NumericFailure(f"relation residual is not finite at n = {n}: nan at k = {k!r}")
+        return fk
 
     lo, hi = 0.9 * k0, 1.1 * k0
     flo, fhi = f(lo), f(hi)

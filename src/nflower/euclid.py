@@ -3,7 +3,8 @@
 An n-flower is a central circle with n petal circles externally tangent to it
 in cyclic order, each petal also tangent to its two neighbours.  The central
 radius is pinned down by the petal radii alone: the angles subtended at the
-central center by consecutive petal pairs must sum to a full turn.  That
+central center by consecutive petal pairs must sum to a full turn.  Each angle
+is taken in Kahan's half-angle form, accurate for thin triangles.  That
 angle-sum function is strictly decreasing in the central radius, so a bisection
 finds the unique solution.
 """
@@ -106,16 +107,16 @@ def angle_gap(R: float, r_a: float, r_b: float) -> float:
     """Central angle between the centers of two petals of radii r_a, r_b,
     both tangent to a central circle of radius R and to each other.
 
-    Law of cosines on the triangle with sides R+r_a, R+r_b, r_a+r_b.
+    Half-angle form on the triangle with sides R+r_a, R+r_b, r_a+r_b
+    (semi-perimeter R+r_a+r_b): 2 atan(sqrt(r_a r_b / (R (R+r_a+r_b)))).
+    Unlike acos of the law-of-cosines ratio it keeps full relative accuracy
+    for thin triangles (Kahan, "Miscalculating Area and Angles of a
+    Needle-like Triangle").  The two quotients are formed first, so no
+    product of radii underflows to a zero denominator.
     """
     if R <= 0.0 or r_a <= 0.0 or r_b <= 0.0:
         raise ValueError("angle_gap needs positive radii")
-    sa = R + r_a
-    sb = R + r_b
-    c = (sa * sa + sb * sb - (r_a + r_b) ** 2) / (2.0 * sa * sb)
-    # Rounding can push the ratio a hair outside [-1, 1] at extreme R.
-    c = min(1.0, max(-1.0, c))
-    return math.acos(c)
+    return 2.0 * math.atan(math.sqrt(r_a / (R + r_a + r_b) * (r_b / R)))
 
 
 def angle_sum(R: float, petal_radii: Sequence[float]) -> float:

@@ -50,6 +50,11 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "1,-2,1")
         assert code == 2
 
+    def test_thin_triangle(self, capsys):
+        code, out, _ = run(capsys, "solve", "1e6,1,1")
+        assert code == 0
+        assert "central curvature: 1002830.42783" in out
+
 
 class TestLayoutVerify:
     def test_pipe_round_trip(self, capsys, monkeypatch):

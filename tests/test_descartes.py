@@ -27,7 +27,13 @@ from nflower.descartes import (
     spinor_recursion,
     xi_from_etas,
 )
-from nflower.euclid import FlowerSpec, NumericFailure
+from nflower import descartes as descartes_module
+from nflower.euclid import (
+    FlowerSpec,
+    NumericFailure,
+    four_flower_poly_residual,
+    four_flower_poly_scale,
+)
 from nflower.hyperbolic import Spinor, bracket, disc_curvature_of_spinor
 
 K3 = 3.0 + 2.0 * math.sqrt(3.0)  # central curvature of three unit petals
@@ -458,6 +464,59 @@ class TestCentralCurvatureSolver:
         monkeypatch.setattr("nflower.descartes.residual_with_scale", lambda m: (res, scale))
         with pytest.raises(NumericFailure, match="not finite"):
             solve_report([1.0, 1.0, 1.0])
+
+    def test_equal_petals_below_overflow(self):
+        s = math.sin(math.pi / 174)
+        rep = solve_report([1.0] * 174)
+        assert rep.central_curvature == pytest.approx(s / (1.0 - s), rel=1e-9)
+        assert rep.polished_curvature == pytest.approx(s / (1.0 - s), rel=1e-9)
+
+    def test_nan_at_bracket_end_raises(self):
+        # the check at the geometric root is finite; the relation at 0.9 k0 is NaN
+        with pytest.raises(NumericFailure) as exc:
+            solve_report([1.0] * 175)
+        assert "not finite" in str(exc.value) and "n = 175" in str(exc.value)
+        assert "does not change sign" not in str(exc.value)
+
+    @staticmethod
+    def _patch_kernel(monkeypatch, call, value):
+        """Replace the relation's value at the given kernel call (0: the
+        check, 1 and 2: the bracket ends, 3 on: midpoints)."""
+        real = descartes_module._phase_form
+        calls = []
+
+        def kernel(vals):
+            calls.append(vals)
+            res, scale = real(vals)
+            return (value(res), scale) if len(calls) == call + 1 else (res, scale)
+
+        monkeypatch.setattr(descartes_module, "_phase_form", kernel)
+
+    @pytest.mark.parametrize("call", [1, 2, 3, 10])
+    def test_nan_in_bisection_raises(self, monkeypatch, call):
+        self._patch_kernel(monkeypatch, call, lambda res: math.nan)
+        with pytest.raises(NumericFailure, match="not finite at n = 3"):
+            solve_report([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_infinite_bracket_end_counts_by_sign(self, monkeypatch, call):
+        expected = solve_report([1.0, 2.0, 3.0]).polished_curvature
+        self._patch_kernel(monkeypatch, call, lambda res: math.copysign(math.inf, res))
+        assert solve_report([1.0, 2.0, 3.0]).polished_curvature == expected
+
+    @pytest.mark.parametrize(
+        "petals", [(1e4, 1.0, 1.0), (1e6, 1.0, 1.0), (1e-6, 1.0, 1.0), (1e8, 1e-8, 1.0)]
+    )
+    def test_thin_triangles_match_classic_descartes(self, petals):
+        k1, k2, k3 = petals
+        expected = k1 + k2 + k3 + 2.0 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
+        assert solve_report(petals).central_curvature == pytest.approx(expected, rel=1e-9)
+
+    def test_thin_four_flower_passes_quartic(self):
+        petals = (1.0, 1.0, 1.0, 1e9)
+        k = solve_report(petals).central_curvature
+        res = four_flower_poly_residual(k, *petals)
+        assert abs(res) <= 1e-9 * four_flower_poly_scale(k, *petals)
 
 
 class TestChainValidation:

@@ -66,8 +66,7 @@ class TestAngleGap:
         assert angle_gap(0.1547005, 1.0, 1.0) == pytest.approx(2.0943951, abs=1e-6)
 
     def test_large_central_limit(self):
-        # acos near 1 resolves only to ~sqrt(eps); this is a vanishing-limit check
-        assert angle_gap(1e8, 1.0, 1.0) == pytest.approx(2e-8, rel=0.2)
+        assert angle_gap(1e8, 1.0, 1.0) == pytest.approx(2e-8, rel=1e-7)
         assert angle_gap(1e6, 1.0, 1.0) == pytest.approx(2e-6, rel=1e-3)
 
     def test_small_central_limit(self):
