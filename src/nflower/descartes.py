@@ -498,10 +498,11 @@ class CentralSolve:
 def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     """Solve for the central curvature and verify it two ways.
 
-    The geometric root comes from the angle-sum bisection on radii; the
-    relation residual at that root must vanish to `tol` relative to the term
-    magnitude, and an independent bisection of the residual inside a +-10%
-    bracket must land on the same root to `tol`.  Both the check and the
+    The geometric root comes from the safeguarded Newton iteration on the
+    angle sum of the radii (solve_central_radius); the relation residual at
+    that root must vanish to `tol` relative to the term magnitude, and an
+    independent bisection of the residual inside a +-10% bracket must land
+    on the same root to `tol`.  Both the check and the
     bisection evaluate the relation in phase form (see residual_with_scale);
     a NaN residual at a bracket end or midpoint raises NumericFailure, while
     +-inf still counts by its sign.

@@ -24,7 +24,7 @@ def fmt17(x: float) -> str:
 def fmt12(x: float) -> str:
     x = float(x)
     if x == 0.0:
-        x = 0.0
+        x = 0.0  # avoid "-0"
     return f"{x:.12g}"
 
 

@@ -5,8 +5,9 @@ in cyclic order, each petal also tangent to its two neighbours.  The central
 radius is pinned down by the petal radii alone: the angles subtended at the
 central center by consecutive petal pairs must sum to a full turn.  Each angle
 is taken in Kahan's half-angle form, accurate for thin triangles.  That
-angle-sum function is strictly decreasing in the central radius, so a bisection
-finds the unique solution.
+angle-sum function is strictly decreasing in the central radius and increasing
+in every petal radius, so the symmetric flowers of the smallest and the largest
+petal bracket the unique solution, and a safeguarded Newton iteration finds it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 # Absolute tolerance on center-distance residuals for O(1)-scale flowers.
 TANGENCY_TOL = 1e-9
-
-_MAX_BRACKET_DOUBLINGS = 1000
 
 
 class NumericFailure(ArithmeticError):
@@ -125,11 +124,45 @@ def angle_sum(R: float, petal_radii: Sequence[float]) -> float:
     return sum(angle_gap(R, petal_radii[j], petal_radii[(j + 1) % n]) for j in range(n))
 
 
+def _angle_sum_and_log_slope(R: float, petal_radii: Sequence[float]) -> tuple[float, float]:
+    """angle_sum(R, petal_radii) and its derivative in ln R, in one pass.
+
+    Each gap is 2 atan(sqrt(q)) with q = r_a/(R+r_a+r_b) * (r_b/R), formed as
+    in angle_gap; its derivative in ln R is -sqrt(q)/(1+q) * (1 + R/(R+r_a+r_b)),
+    R times the derivative in R.  Both values are unchanged when R and the
+    radii are scaled together, so the slope does not underflow for large R.
+    """
+    sqrt, atan = math.sqrt, math.atan
+    total = slope = 0.0
+    r_a = petal_radii[-1]
+    for r_b in petal_radii:
+        d = R + r_a + r_b
+        q = r_a / d * (r_b / R)
+        sq = sqrt(q)
+        total += atan(sq)
+        slope += sq / (1.0 + q) * (1.0 + R / d)
+        r_a = r_b
+    return 2.0 * total, -slope
+
+
+def _geometric_midpoint(lo: float, hi: float) -> float:
+    """sqrt(lo * hi), which scales exactly with lo and hi by powers of two;
+    sqrt(lo) * sqrt(hi) where the product under- or overflows."""
+    mid = math.sqrt(lo * hi)
+    return mid if lo <= mid <= hi else math.sqrt(lo) * math.sqrt(hi)
+
+
 def solve_central_radius(petal_radii: Sequence[float], tol: float = 1e-12) -> float:
     """Radius of the central circle around which the given petals close up.
 
-    Bisection on the strictly decreasing angle-sum function, starting from the
-    bracket [min(r) * 1e-6, sum(r) * 1e6] and run down to machine precision.
+    The angle sum increases with every petal radius, so the root lies between
+    the central radii r * (1 - sin(pi/n)) / sin(pi/n) of the symmetric flowers
+    of the smallest and the largest petal.  Newton's method on ln R starts from
+    the symmetric flower of the mean of sqrt(r_j r_{j+1}); a step that leaves
+    the bracket falls back to its geometric midpoint sqrt(lo * hi), and the
+    iteration stops once a step is below 1e-14 R (or after 100 steps; the
+    final check decides).  Every operation commutes with scaling the radii
+    by a power of two, so such scaling is exact.
     `tol` is the accepted residual of the angle sum against a full turn.
     """
     radii = [float(r) for r in petal_radii]
@@ -140,35 +173,35 @@ def solve_central_radius(petal_radii: Sequence[float], tol: float = 1e-12) -> fl
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    lo = min(radii) * 1e-6
-    hi = sum(radii) * 1e6
-    flo = angle_sum(lo, radii) - TWO_PI
-    fhi = angle_sum(hi, radii) - TWO_PI
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise NumericFailure("angle sum is not finite; NaN propagation in the bracket")
-    doublings = 0
-    while flo <= 0.0:
-        lo *= 0.5
-        flo = angle_sum(lo, radii) - TWO_PI
-        doublings += 1
-        if doublings > _MAX_BRACKET_DOUBLINGS:
-            raise NumericFailure("bracket expansion failed at the lower end")
-    while fhi >= 0.0:
-        hi *= 2.0
-        fhi = angle_sum(hi, radii) - TWO_PI
-        doublings += 1
-        if doublings > _MAX_BRACKET_DOUBLINGS:
-            raise NumericFailure("bracket expansion failed at the upper end")
-
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if angle_sum(mid, radii) - TWO_PI > 0.0:
-            lo = mid
+    n = len(radii)
+    s = math.sin(math.pi / n)
+    c = (1.0 - s) / s
+    lo, hi = min(radii) * c, max(radii) * c
+    if not (lo > 0.0 and hi < math.inf):
+        raise NumericFailure("petal radii too extreme to bracket the central radius")
+    R = c * sum(math.sqrt(a * b) for a, b in zip(radii, radii[1:] + radii[:1])) / n
+    if not lo <= R <= hi:  # rounding, or a product of radii under- or overflowed
+        R = _geometric_midpoint(lo, hi)
+    for _ in range(100):
+        total, slope = _angle_sum_and_log_slope(R, radii)
+        g = total - TWO_PI
+        if not math.isfinite(g):
+            raise NumericFailure("angle sum is not finite; NaN propagation in the bracket")
+        if g > 0.0:
+            lo = R
+        elif g < 0.0:
+            hi = R
         else:
-            hi = mid
-    R = 0.5 * (lo + hi)
+            break
+        # Newton step on ln R.  exp overflows above 709, and a zero slope or a
+        # step that long leaves the bracket anyway.
+        nxt = R * math.exp(min(-g / slope, 700.0)) if slope else 0.0
+        if not lo < nxt < hi:
+            nxt = _geometric_midpoint(lo, hi)
+        done = abs(nxt - R) <= 1e-14 * nxt
+        R = nxt
+        if done:
+            break
     residual = angle_sum(R, radii) - TWO_PI
     if not abs(residual) <= tol:  # also catches NaN
         raise NumericFailure(f"angle sum residual {residual:.3e} exceeds tol {tol:.3e}")

@@ -9,15 +9,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .document import fmt12
+
 _CENTRAL_STROKE = "#c0392b"
 _PETAL_STROKE = "#2c3e50"
-
-
-def _g12(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid "-0"
-    return f"{x:.12g}"
 
 
 def flower_svg(circles: Sequence[tuple[float, float, float]], central_index: int = 0) -> str:
@@ -34,7 +29,7 @@ def flower_svg(circles: Sequence[tuple[float, float, float]], central_index: int
     height = (ymax - ymin) + 2.0 * pad
     stroke = 0.005 * span
 
-    view = f"{_g12(xmin - pad)} {_g12(-(ymax + pad))} {_g12(width)} {_g12(height)}"
+    view = f"{fmt12(xmin - pad)} {fmt12(-(ymax + pad))} {fmt12(width)} {fmt12(height)}"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
@@ -42,8 +37,8 @@ def flower_svg(circles: Sequence[tuple[float, float, float]], central_index: int
     for i, (cx, cy, r) in enumerate(circles):
         color = _CENTRAL_STROKE if i == central_index else _PETAL_STROKE
         lines.append(
-            f'  <circle cx="{_g12(cx)}" cy="{_g12(-cy)}" r="{_g12(r)}" '
-            f'fill="none" stroke="{color}" stroke-width="{_g12(stroke)}"/>'
+            f'  <circle cx="{fmt12(cx)}" cy="{fmt12(-cy)}" r="{fmt12(r)}" '
+            f'fill="none" stroke="{color}" stroke-width="{fmt12(stroke)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -50,6 +50,12 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "1,-2,1")
         assert code == 2
 
+    @pytest.mark.parametrize("petals", ["1e80,1,1", "1e300,1,1", "1e-80,1,1", "1e-300,1,1"])
+    def test_extreme_ratios(self, capsys, petals):
+        code, out, _ = run(capsys, "solve", petals)
+        assert code == 0
+        assert "central curvature: " in out
+
     def test_thin_triangle(self, capsys):
         code, out, _ = run(capsys, "solve", "1e6,1,1")
         assert code == 0
@@ -260,18 +266,15 @@ class TestDispatch:
         assert code == 3
         assert "numeric failure" in err
 
-    def test_float_overflow_maps_to_exit_3(self):
-        import subprocess
-        import sys
+    def test_float_overflow_maps_to_exit_3(self, capsys, monkeypatch):
+        def explode(petals, tol):
+            raise OverflowError("math range error")
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "nflower.cli", "solve", "1e-300,1,1"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("numeric failure")
-        assert "Traceback" not in proc.stderr
+        monkeypatch.setattr("nflower.cli.solve_report", explode)
+        code, _, err = run(capsys, "solve", "1,1,1")
+        assert code == 3
+        assert err.startswith("numeric failure")
+        assert "Traceback" not in err
 
     def test_module_invocation(self):
         import subprocess

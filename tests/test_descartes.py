@@ -512,6 +512,40 @@ class TestCentralCurvatureSolver:
         expected = k1 + k2 + k3 + 2.0 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
         assert solve_report(petals).central_curvature == pytest.approx(expected, rel=1e-9)
 
+    def test_seeded_sweep_matches_closed_forms_or_fails_typed(self):
+        # Curvature ratios log-uniform up to 1e+-8, n from 3 to 500.  Each
+        # flower either solves (closed forms where they apply) or raises
+        # NumericFailure; the relation's |P| overflows above 174 unit petals.
+        rng = random.Random(41)
+        solved = failed = 0
+        for i in range(120):
+            n = rng.choice((3, 4, rng.randrange(5, 40), rng.randrange(3, 501)))
+            width = rng.uniform(0.0, 8.0)
+            if i % 4 == 3:
+                petals = [10.0 ** rng.uniform(-width, width)] * n
+            else:
+                petals = [10.0 ** rng.uniform(-width, width) for _ in range(n)]
+            try:
+                rep = solve_report(petals)
+            except NumericFailure:
+                failed += 1
+                continue
+            solved += 1
+            k = rep.central_curvature
+            for v in (k, rep.polished_curvature, rep.residual, rep.residual_scale):
+                assert math.isfinite(v)
+            if len(set(petals)) == 1:
+                s = math.sin(math.pi / n)
+                assert k == pytest.approx(petals[0] * s / (1.0 - s), rel=1e-9)
+            elif n == 3:
+                k1, k2, k3 = petals
+                expected = k1 + k2 + k3 + 2.0 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
+                assert k == pytest.approx(expected, rel=1e-9)
+            elif n == 4:
+                res = four_flower_poly_residual(k, *petals)
+                assert abs(res) <= 1e-9 * four_flower_poly_scale(k, *petals)
+        assert solved > 0 and failed > 0
+
     def test_thin_four_flower_passes_quartic(self):
         petals = (1.0, 1.0, 1.0, 1e9)
         k = solve_report(petals).central_curvature

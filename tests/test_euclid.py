@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nflower import euclid as euclid_module
 from nflower.euclid import (
     TWO_PI,
     Circle,
@@ -108,6 +109,44 @@ class TestSolveCentralRadius:
             petals = random_petals(rng, rng.randrange(3, 11))
             R = solve_central_radius(petals)
             assert angle_sum(R, petals) == pytest.approx(TWO_PI, abs=1e-12)
+
+    @pytest.mark.parametrize("k1", [1e80, 1e-80, 1e300, 1e-300])
+    def test_extreme_ratios_match_classic_descartes(self, k1):
+        k2 = k3 = 1.0
+        expected = k1 + k2 + k3 + 2.0 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
+        R = solve_central_radius([1.0 / k1, 1.0 / k2, 1.0 / k3])
+        assert 1.0 / R == pytest.approx(expected, rel=1e-12)
+
+    def test_sweep_evaluation_counts(self, monkeypatch):
+        # Count every angle-sum evaluation: the Newton kernel and the final check.
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                calls.append(1)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_angle_sum_and_log_slope", "angle_sum"):
+            monkeypatch.setattr(euclid_module, name, counted(getattr(euclid_module, name)))
+        # Radius (and so curvature) ratios log-uniform up to 1e+-8, n from 3 to 500.
+        rng = random.Random(17)
+        for i in range(200):
+            n = rng.randrange(3, 501) if i % 2 else rng.randrange(3, 11)
+            width = rng.uniform(0.0, 8.0)
+            petals = [10.0 ** rng.uniform(-width, width) for _ in range(n)]
+            calls.clear()
+            R = solve_central_radius(petals)
+            assert len(calls) <= 12, (n, width)
+            assert abs(angle_sum(R, petals) - TWO_PI) <= 1e-12
+
+    def test_geometric_midpoint_guards_the_product(self):
+        mid = euclid_module._geometric_midpoint
+        assert mid(1.0, 4.0) == 2.0
+        assert mid(2.0, 8.0) == 2.0 * mid(1.0, 4.0)
+        assert mid(1e200, 1e300) == pytest.approx(1e250, rel=1e-15)
+        assert mid(1e-300, 1e-200) == pytest.approx(1e-250, rel=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
