@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .euclid import (
@@ -44,7 +45,9 @@ from .hyperbolic import (
 )
 from .polynomial import PolynomialZZ
 
-# Cap for descartes_polynomial alone: its expansion has 2^(n-2) terms.
+# Cap for descartes_polynomial alone: its expansion has 2^(n-2) lhs terms and
+# 2^floor((n-1)/2) rhs terms (for even n the two constants merge or cancel),
+# about 4.2 million at n = 24.
 MAX_POLYNOMIAL_N = 24
 
 _BRACKET_TOL = 1e-9
@@ -263,35 +266,58 @@ def descartes_residual_complex(m: MVector | Sequence[float]) -> float:
     return lhs.real - _rhs_product(vals)
 
 
+def _monomial_terms(n: int, coeff: int, lead: int, positions: range, size: int, power: int):
+    """Terms coeff * m_0^lead * prod_{k in S} m_k^power over the subsets S of
+    `positions` with |S| = size.  combinations of an ascending range come in
+    lexicographic order of index tuples, which is descending lexicographic
+    order of the exponent vectors."""
+    out = []
+    for combo in combinations(positions, size):
+        exps = [0] * n
+        exps[0] = lead
+        for k in combo:
+            exps[k] = power
+        out.append((coeff, tuple(exps)))
+    return out
+
+
 def descartes_polynomial(n: int) -> PolynomialZZ:
     """The relation lhs - rhs as an exact integer polynomial in
-    m_0..m_{n-1}.  Exponential in n; capped at n = 24."""
+    m_0..m_{n-1}, terms in graded lexicographic order.
+
+    The lhs has 2^(n-2) terms +-m_0^(2[n odd]) prod_{k in S} m_k, S running
+    over the subsets of {1..n-1} with |S| = n (mod 2) and sign
+    (-1)^((n-2-|S|)/2); the rhs prod_{k in idx}(m_k^2 + 1) contributes the
+    2^floor((n-1)/2) terms -prod_{k in T} m_k^2, T a subset of idx (the odd
+    indices of 1..n-2 for odd n, the even ones for even n).  The two
+    families share only the constant exponent vector, so the terms are
+    written out degree by degree, each family already in order and one sort
+    per degree merging the two runs, and no coefficient is ever summed but
+    the constant: -1 for odd n, -2 for n = 0 (mod 4), none for n = 2 (mod 4).
+    Exponential in n; capped at n = MAX_POLYNOMIAL_N.
+    """
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_POLYNOMIAL_N:
         raise ValueError(f"subset enumeration capped at n = {MAX_POLYNOMIAL_N}")
 
-    coeffs: dict[tuple[int, ...], int] = {}
-    base = [0] * n
-    if n % 2:
-        base[0] = 2
-    for size in range(n - 2, -1, -2):
-        sign = 1 if ((n - 2 - size) // 2) % 2 == 0 else -1
-        for combo in combinations(range(1, n), size):
-            exps = base.copy()
-            for k in combo:
-                exps[k] = 1
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0) + sign
-    lhs = PolynomialZZ.from_dict(n, coeffs)
-
-    rhs = PolynomialZZ.constant(n, 1)
-    idx = range(1, n - 1, 2) if n % 2 else range(2, n - 1, 2)
-    for k in idx:
-        sq = [0] * n
-        sq[k] = 2
-        rhs = rhs * PolynomialZZ.from_dict(n, {tuple(sq): 1, (0,) * n: 1})
-    return lhs - rhs
+    odd = n % 2
+    idx = range(1, n - 1, 2) if odd else range(2, n - 1, 2)
+    terms = []
+    for degree in range(n if odd else n - 2, 0, -1):
+        size = degree - 2 * odd
+        lhs = []
+        if degree % 2 == odd and size >= 0:
+            sign = -1 if (n - 2 - size) // 2 % 2 else 1
+            lhs = _monomial_terms(n, sign, 2 * odd, range(1, n), size, 1)
+        rhs = []
+        if degree % 2 == 0:
+            rhs = _monomial_terms(n, -1, 0, idx, degree // 2, 2)
+        terms += sorted(lhs + rhs, key=itemgetter(1), reverse=True)
+    constant = -1 if odd else (-2 if n % 4 == 0 else 0)
+    if constant:
+        terms.append((constant, (0,) * n))
+    return PolynomialZZ(n, tuple(terms))
 
 
 def spinor_recursion(m: MVector | Sequence[float]) -> SpinorChain:

@@ -111,11 +111,15 @@ def angle_gap(R: float, r_a: float, r_b: float) -> float:
     Unlike acos of the law-of-cosines ratio it keeps full relative accuracy
     for thin triangles (Kahan, "Miscalculating Area and Angles of a
     Needle-like Triangle").  The two quotients are formed first, so no
-    product of radii underflows to a zero denominator.
+    product of radii underflows to a zero denominator, and the smaller radius
+    is divided by R, so no quotient overflows where q is finite (a radius
+    near 1e308 against a much smaller R).
     """
     if R <= 0.0 or r_a <= 0.0 or r_b <= 0.0:
         raise ValueError("angle_gap needs positive radii")
-    return 2.0 * math.atan(math.sqrt(r_a / (R + r_a + r_b) * (r_b / R)))
+    d = R + r_a + r_b
+    q = r_a / R * (r_b / d) if r_a < r_b else r_b / R * (r_a / d)
+    return 2.0 * math.atan(math.sqrt(q))
 
 
 def angle_sum(R: float, petal_radii: Sequence[float]) -> float:
@@ -127,8 +131,9 @@ def angle_sum(R: float, petal_radii: Sequence[float]) -> float:
 def _angle_sum_and_log_slope(R: float, petal_radii: Sequence[float]) -> tuple[float, float]:
     """angle_sum(R, petal_radii) and its derivative in ln R, in one pass.
 
-    Each gap is 2 atan(sqrt(q)) with q = r_a/(R+r_a+r_b) * (r_b/R), formed as
-    in angle_gap; its derivative in ln R is -sqrt(q)/(1+q) * (1 + R/(R+r_a+r_b)),
+    Each gap is 2 atan(sqrt(q)) with
+    q = min(r_a, r_b)/R * (max(r_a, r_b)/(R+r_a+r_b)), formed as in angle_gap;
+    its derivative in ln R is -sqrt(q)/(1+q) * (1 + R/(R+r_a+r_b)),
     R times the derivative in R.  Both values are unchanged when R and the
     radii are scaled together, so the slope does not underflow for large R.
     """
@@ -137,7 +142,7 @@ def _angle_sum_and_log_slope(R: float, petal_radii: Sequence[float]) -> tuple[fl
     r_a = petal_radii[-1]
     for r_b in petal_radii:
         d = R + r_a + r_b
-        q = r_a / d * (r_b / R)
+        q = r_a / R * (r_b / d) if r_a < r_b else r_b / R * (r_a / d)
         sq = sqrt(q)
         total += atan(sq)
         slope += sq / (1.0 + q) * (1.0 + R / d)

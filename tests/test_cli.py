@@ -50,7 +50,7 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "1,-2,1")
         assert code == 2
 
-    @pytest.mark.parametrize("petals", ["1e80,1,1", "1e300,1,1", "1e-80,1,1", "1e-300,1,1"])
+    @pytest.mark.parametrize("petals", ["1e80,1,1", "1e300,1,1", "1e-80,1,1", "1e-300,1,1", "1e-308,1,1"])
     def test_extreme_ratios(self, capsys, petals):
         code, out, _ = run(capsys, "solve", petals)
         assert code == 0

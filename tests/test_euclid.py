@@ -110,7 +110,9 @@ class TestSolveCentralRadius:
             R = solve_central_radius(petals)
             assert angle_sum(R, petals) == pytest.approx(TWO_PI, abs=1e-12)
 
-    @pytest.mark.parametrize("k1", [1e80, 1e-80, 1e300, 1e-300])
+    # 1e-308 is a petal radius of 1e308, where r/R overflows unless the
+    # smaller radius is the one divided by R.
+    @pytest.mark.parametrize("k1", [1e80, 1e-80, 1e300, 1e-300, 1e-308])
     def test_extreme_ratios_match_classic_descartes(self, k1):
         k2 = k3 = 1.0
         expected = k1 + k2 + k3 + 2.0 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)

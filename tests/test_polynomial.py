@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,31 @@ from nflower.polynomial import PolynomialZZ
 
 GOLDEN_3 = "1 2 1 0\n1 2 0 1\n-1 0 2 0\n-1 0 0 0\n"
 GOLDEN_4 = "1 0 1 1 0\n1 0 1 0 1\n-1 0 0 2 0\n1 0 0 1 1\n-2 0 0 0 0\n"
+
+
+def product_built_polynomial(n):
+    """Reference construction of the relation: the lhs subset sum through
+    from_dict, the rhs as the product of (m_k^2 + 1) through __mul__, then
+    lhs - rhs, each step re-canonicalized."""
+    coeffs = {}
+    base = [0] * n
+    if n % 2:
+        base[0] = 2
+    for size in range(n - 2, -1, -2):
+        sign = 1 if ((n - 2 - size) // 2) % 2 == 0 else -1
+        for combo in combinations(range(1, n), size):
+            exps = base.copy()
+            for k in combo:
+                exps[k] = 1
+            key = tuple(exps)
+            coeffs[key] = coeffs.get(key, 0) + sign
+    lhs = PolynomialZZ.from_dict(n, coeffs)
+    rhs = PolynomialZZ.constant(n, 1)
+    for k in range(1, n - 1, 2) if n % 2 else range(2, n - 1, 2):
+        sq = [0] * n
+        sq[k] = 2
+        rhs = rhs * PolynomialZZ.from_dict(n, {tuple(sq): 1, (0,) * n: 1})
+    return lhs - rhs
 
 
 class TestCanonicalForm:
@@ -90,6 +116,29 @@ class TestDescartesPolynomial:
             a = p.evaluate(m)
             b = descartes_residual_complex(m)
             assert abs(a - b) <= 1e-10 * (1.0 + abs(descartes_lhs_subset(m)))
+
+    def test_matches_product_built_reference(self):
+        for n in range(3, 15):
+            p = descartes_polynomial(n)
+            ref = product_built_polynomial(n)
+            assert p.serialize() == ref.serialize()
+            assert p == ref
+
+    @pytest.mark.parametrize("n, constant", [(3, -1), (4, -2), (5, -1), (6, None), (8, -2), (10, None)])
+    def test_constant_term(self, n, constant):
+        # lhs constant (-1)^((n-2)/2) for even n, minus the rhs constant 1.
+        zero = (0,) * n
+        found = [c for c, e in descartes_polynomial(n).terms if e == zero]
+        assert found == ([] if constant is None else [constant])
+
+    def test_built_without_arithmetic(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("descartes_polynomial must not re-canonicalize")
+
+        for name in ("from_dict", "__mul__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(PolynomialZZ, name, forbidden)
+        for n in range(3, 13):
+            assert descartes_polynomial(n).nvars == n
 
     def test_integer_coefficients_and_no_duplicates(self):
         for n in range(3, 9):
