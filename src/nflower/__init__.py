@@ -4,7 +4,6 @@ spinors, and the generalized Descartes relation for the central curvature."""
 from .euclid import (
     Circle,
     FlowerLayout,
-    FlowerSpec,
     NumericFailure,
     angle_gap,
     angle_sum,
@@ -50,7 +49,6 @@ from .descartes import (
     geometric_spinor_chain,
     kappa_plus_one,
     m_from_normalized,
-    normalize_curvatures,
     parallelogram_invariants,
     solve_central_curvature,
     solve_report,

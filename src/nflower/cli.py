@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .descartes import (
 from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt12
 from .euclid import (
     Circle,
+    _checked_petals,
     classic_descartes_residual,
     classic_descartes_scale,
     four_flower_poly_residual,
@@ -40,11 +40,7 @@ def _parse_petals(text: str) -> list[float]:
         petals = [float(f) for f in text.split(",") if f.strip()]
     except ValueError as exc:
         raise ValueError(f"bad petal list {text!r}: {exc}") from exc
-    if len(petals) < 3:
-        raise ValueError("need at least 3 petal curvatures")
-    if any(not math.isfinite(k) or k <= 0.0 for k in petals):
-        raise ValueError("petal curvatures must be positive and finite")
-    return petals
+    return _checked_petals(petals)
 
 
 def _read_input(path: str) -> str:

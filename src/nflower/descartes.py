@@ -16,7 +16,8 @@ the equation's root against the geometric angle-sum oracle from the layout
 module.
 
 The same m-variables drive a recursion producing spinor coordinates
-(xi_j, eta_j) of the flat flower: consecutive brackets are -1 by
+(xi_j, eta_j) of the flat flower: with z_j = xi_j + i eta_j each step is
+z_j = (m_j - i) z_{j-1} / |z_{j-1}|^2, consecutive brackets are -1 by
 construction, and the closing bracket returns to -1 exactly on flowers.
 """
 
@@ -29,8 +30,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from .euclid import (
-    FlowerSpec,
     NumericFailure,
+    _checked_petals,
     invert_in_unit_circle,
     layout_flower,
     solve_central_radius,
@@ -79,8 +80,8 @@ class MVector:
 class SpinorChain:
     """Spinors of a flat flower: xi_0 = 0, eta_0 > 0, and each consecutive
     bracket equals -1 (within 1e-9).  eta_j of later spinors may carry either
-    sign; the closing bracket is -1 exactly when the chain comes from a
-    genuine flower."""
+    sign or be 0, a horocycle tangent at infinity; the closing bracket is -1
+    exactly when the chain comes from a genuine flower."""
 
     spinors: tuple[Spinor, ...]
 
@@ -118,13 +119,6 @@ def _m_values(m: MVector | Sequence[float], minimum: int = 3) -> tuple[float, ..
     if len(vals) < minimum:
         raise ValueError(f"need at least {minimum} m-variables, got {len(vals)}")
     return vals
-
-
-def normalize_curvatures(flower: FlowerSpec) -> list[float]:
-    """Petal curvatures rescaled so the central curvature becomes 1."""
-    if flower.central_curvature is None:
-        raise ValueError("central curvature is required for normalization")
-    return [k / flower.central_curvature for k in flower.petal_curvatures]
 
 
 def _m_tuple(kappas: Sequence[float]) -> tuple[float, ...]:
@@ -323,32 +317,25 @@ def descartes_polynomial(n: int) -> PolynomialZZ:
 def spinor_recursion(m: MVector | Sequence[float]) -> SpinorChain:
     """Spinor chain generated from the m-variables.
 
-    Starts at (0, m_0) and steps by
-        eta_{j+1} = (-xi_j + eta_j m_{j+1}) / g_j,
-        xi_{j+1}  = (eta_{j+1}/eta_j) xi_j + 1/eta_j,
-    with g_j = kappa_plus_one(m, j).  The positive branch of the defining
-    quadratic is always taken; for symmetric inputs later eta_j can still
-    come out negative, which is recorded, not corrected.
+    Starts at z_0 = i m_0 and steps by z_j = (m_j - i) z_{j-1} / g, with
+    z = xi + i eta and g = |z_{j-1}|^2, which is kappa_plus_one(m, j - 1):
+        xi_j  = (m_j xi_{j-1} + eta_{j-1}) / g,
+        eta_j = (m_j eta_{j-1} - xi_{j-1}) / g.
+    The only division is by that positive norm, so an eta_j of 0 (a
+    horocycle tangent at infinity, as in symmetric flowers of even n) is an
+    ordinary step.  Later eta_j can come out negative, which is recorded,
+    not corrected.
     """
     vals = _m_values(m)
-    n = len(vals)
     if vals[0] == 0.0:
         raise NumericFailure("degenerate chain: m_0 = 0 gives eta_0 = 0")
-    xs = [0.0]
-    es = [vals[0]]
-    for j in range(n - 1):
-        g = kappa_plus_one(vals, j)
-        if g <= 0.0:
-            raise ValueError(f"non-positive curvature product g_{j} = {g}")
-        if es[j] == 0.0:
-            raise NumericFailure(f"degenerate chain: eta_{j} = 0")
-        eta_next = (-xs[j] + es[j] * vals[j + 1]) / g
-        xi_next = (eta_next / es[j]) * xs[j] + 1.0 / es[j]
-        xs.append(xi_next)
-        es.append(eta_next)
-    if es[-1] == 0.0:
-        raise NumericFailure(f"degenerate chain: eta_{n - 1} = 0")
-    return SpinorChain(tuple(Spinor(x, e) for x, e in zip(xs, es)))
+    xi, eta = 0.0, vals[0]
+    spinors = [Spinor(xi, eta)]
+    for mj in vals[1:]:
+        g = xi * xi + eta * eta
+        xi, eta = (mj * xi + eta) / g, (mj * eta - xi) / g
+        spinors.append(Spinor(xi, eta))
+    return SpinorChain(tuple(spinors))
 
 
 def eta_closed_form(m: MVector | Sequence[float], j: int) -> float:
@@ -395,12 +382,17 @@ def closure_residuals(chain: SpinorChain) -> tuple[float, float]:
 
     Returns (bracket residual, eta-sum residual): the closing bracket plus 1,
     and sum 1/(eta_j eta_{j+1}) minus 1/(eta_0 eta_{n-1}).  Both vanish
-    exactly on chains of genuine flowers.
+    exactly on chains of genuine flowers whose horocycles all have finite
+    tangency.  The eta-sum residual means nothing when a horocycle is tangent
+    at infinity (eta near 0): four equal petals give -1.0 while the bracket
+    closes.  An eta of exactly 0 raises NumericFailure.
     """
     s = chain.spinors
     n = len(s)
     bres = bracket(s[0], s[n - 1]) + 1.0
     es = chain.etas
+    if 0.0 in es:
+        raise NumericFailure(f"eta_{es.index(0.0)} = 0: the eta-sum residual is undefined")
     eres = sum(1.0 / (es[j] * es[j + 1]) for j in range(n - 1)) - 1.0 / (es[0] * es[n - 1])
     return bres, eres
 
@@ -475,11 +467,7 @@ def geometric_spinor_chain(
     at the widest gap by default (best numerical conditioning); pass `start`
     to cut before a specific petal instead.
     """
-    ks = [float(k) for k in petal_curvatures]
-    if len(ks) < 3:
-        raise ValueError("a flower needs at least 3 petals")
-    if any(not math.isfinite(k) or k <= 0.0 for k in ks):
-        raise ValueError("petal curvatures must be positive and finite")
+    ks = _checked_petals(petal_curvatures)
     n = len(ks)
     layout = layout_flower([1.0 / k for k in ks], tol)
     R = layout.central.r
@@ -533,11 +521,7 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     a NaN residual at a bracket end or midpoint raises NumericFailure, while
     +-inf still counts by its sign.
     """
-    ks = [float(k) for k in petals]
-    if len(ks) < 3:
-        raise ValueError("a flower needs at least 3 petals")
-    if any(not math.isfinite(k) or k <= 0.0 for k in ks):
-        raise ValueError("petal curvatures must be positive and finite")
+    ks = _checked_petals(petals)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 

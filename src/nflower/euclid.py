@@ -50,37 +50,6 @@ class Circle:
 
 
 @dataclass(frozen=True)
-class FlowerSpec:
-    """Curvature data of an n-flower: n petal curvatures, optionally the
-    central curvature.
-
-    Petal curvature 0 (a straight-line petal, as in the Ford configuration)
-    is admitted here for the algebraic layer; the geometric layout functions
-    work with radii and therefore need strictly positive curvatures.
-    """
-
-    petal_curvatures: tuple[float, ...]
-    central_curvature: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "petal_curvatures", tuple(float(k) for k in self.petal_curvatures))
-        if len(self.petal_curvatures) < 3:
-            raise ValueError("a flower needs at least 3 petals")
-        for k in self.petal_curvatures:
-            if not math.isfinite(k) or k < 0.0:
-                raise ValueError(f"petal curvatures must be finite and >= 0, got {k}")
-        if self.central_curvature is not None:
-            kc = float(self.central_curvature)
-            if not math.isfinite(kc) or kc <= 0.0:
-                raise ValueError(f"central curvature must be positive, got {kc}")
-            object.__setattr__(self, "central_curvature", kc)
-
-    @property
-    def n(self) -> int:
-        return len(self.petal_curvatures)
-
-
-@dataclass(frozen=True)
 class FlowerLayout:
     """A realized flower: central circle, petals in cyclic order, and the
     central angles between consecutive petal centers."""
@@ -100,6 +69,18 @@ class FlowerLayout:
     @property
     def n(self) -> int:
         return len(self.petals)
+
+
+def _checked_petals(values: Sequence[float], what: str = "petal curvatures") -> list[float]:
+    """The values as floats, after checking that there are at least 3 and
+    that each is positive and finite; the one input check of every entry
+    point that takes petals."""
+    vals = [float(v) for v in values]
+    if len(vals) < 3:
+        raise ValueError("a flower needs at least 3 petals")
+    if any(not math.isfinite(v) or v <= 0.0 for v in vals):
+        raise ValueError(f"{what} must be positive and finite")
+    return vals
 
 
 def angle_gap(R: float, r_a: float, r_b: float) -> float:
@@ -170,11 +151,7 @@ def solve_central_radius(petal_radii: Sequence[float], tol: float = 1e-12) -> fl
     by a power of two, so such scaling is exact.
     `tol` is the accepted residual of the angle sum against a full turn.
     """
-    radii = [float(r) for r in petal_radii]
-    if len(radii) < 3:
-        raise ValueError("a flower needs at least 3 petals")
-    if any(not math.isfinite(r) or r <= 0.0 for r in radii):
-        raise ValueError("petal radii must be positive and finite")
+    radii = _checked_petals(petal_radii, "petal radii")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 

@@ -9,8 +9,11 @@ length: exp(rho/2) up to sign, where rho is the signed distance between the
 horocycles, so tangency means bracket +-1.
 
 The disc and upper half-plane models are exchanged by the Cayley transform.
-Circle images under that transform are computed by mapping three points and
-refitting the circle, keeping one code path for all model changes.
+Horocycle images under that transform have closed forms: a disc horocycle
+tangent at exp(i theta) with radius rho is tangent at -cot(theta/2) with
+radius rho / (2 (1 - rho) sin^2(theta/2)), since its disc curvature 1/rho is
+xi^2 + eta^2 + 1 for its spinor (Penner, "The decorated Teichmuller space of
+punctured surfaces", CMP 113, 1987, on lambda lengths).
 """
 
 from __future__ import annotations
@@ -150,50 +153,29 @@ def circumcircle(z1: complex, z2: complex, z3: complex) -> tuple[complex, float]
 
 
 def disc_horocycle_to_uhp(h: DiscHorocycle) -> Horocycle:
-    """Image of a disc horocycle in the upper half-plane model.
-
-    Three points of the circle are pushed through the inverse Cayley
-    transform and a circle tangent to the real line is refit; its tangency
-    point is -cot(angle/2).  Horocycles tangent at angle 0 would map to a
-    horizontal line and are rejected.
+    """Image of a disc horocycle in the upper half-plane model, in closed
+    form: tangency -cot(theta/2) and radius rho / (2 (1 - rho) sin^2(theta/2))
+    for tangency angle theta and radius rho.  Horocycles tangent at angle 0
+    would map to a horizontal line and are rejected.
     """
     half = math.remainder(h.tangency_angle, 2.0 * math.pi) / 2.0
-    if abs(math.sin(half)) < 1e-12:
+    sin_half = math.sin(half)
+    if abs(sin_half) < 1e-12:
         raise ValueError("disc horocycle tangent at 1 maps to a horocycle at infinity")
-    c = h.center
-    pts = []
-    for phi in (half * 2.0 + math.pi / 2.0, half * 2.0 + math.pi, half * 2.0 + 1.5 * math.pi):
-        p = c + h.radius * complex(math.cos(phi), math.sin(phi))
-        pts.append(disc_to_uhp(p))
-    center, _ = circumcircle(*pts)
-    # The fitted circle is tangent to the real line: center height = radius.
-    return Horocycle(center.real, radius=center.imag)
+    radius = h.radius / (2.0 * (1.0 - h.radius) * sin_half * sin_half)
+    return Horocycle(-math.cos(half) / sin_half, radius=radius)
 
 
 def uhp_horocycle_to_disc(h: Horocycle) -> DiscHorocycle:
-    """Image of a finite-tangency upper half-plane horocycle in the disc.
-
-    Same three-point refit, through the forward Cayley transform.  A second
-    fitting pass resamples the source circle at the preimages of well-spread
-    image points: for large horocycles the first three images cluster near 1
-    and would condition the fit poorly.
+    """Image of a finite-tangency upper half-plane horocycle in the disc, in
+    closed form, inverting disc_horocycle_to_uhp: tangency angle
+    2 atan2(1, -p), in (0, 2 pi), and radius 1 / (1 + (p^2 + 1) / (2 r)) for
+    tangency p and radius r.
     """
     if h.radius is None:
         raise ValueError("horocycle at infinity not supported here")
-    c = complex(h.tangency, h.radius)
-
-    def fit(phis):
-        pts = [uhp_to_disc(c + h.radius * complex(math.cos(f), math.sin(f))) for f in phis]
-        return circumcircle(*pts)
-
-    center, radius = fit((math.pi / 2.0, 0.7, 2.9))  # avoid -pi/2, the tangency point
-    tangent_dir = center / abs(center)
-    phis = []
-    for target in (-tangent_dir, 1j * tangent_dir, -1j * tangent_dir):
-        z = disc_to_uhp(center + radius * target) - c
-        phis.append(math.atan2(z.imag, z.real))
-    center, radius = fit(tuple(phis))
-    return DiscHorocycle(math.atan2(center.imag, center.real), radius)
+    p = h.tangency
+    return DiscHorocycle(2.0 * math.atan2(1.0, -p), 1.0 / (1.0 + (p * p + 1.0) / (2.0 * h.radius)))
 
 
 def disc_curvature_of_spinor(s: Spinor) -> float:

@@ -230,6 +230,18 @@ class TestSpinors:
         code, _, _ = run(capsys, "spinors", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_equal_petals_chain_closes(self, capsys, n):
+        # An even symmetric flower has a horocycle tangent at infinity.
+        code, out, _ = run(capsys, "spinors", ",".join(["1"] * n))
+        assert code == 0
+        rows = [[float(v) for v in line.split()] for line in out.strip().splitlines()[2:]]
+        assert len(rows) == n
+        xis, etas = [r[1] for r in rows], [r[2] for r in rows]
+        for j in range(n - 1):
+            assert abs(xis[j] * etas[j + 1] - etas[j] * xis[j + 1] + 1.0) <= 1e-9
+        assert abs(xis[0] * etas[n - 1] - etas[0] * xis[n - 1] + 1.0) <= 1e-9
+
 
 class TestPolynomialCommand:
     def test_golden_three(self, capsys):

@@ -19,7 +19,6 @@ from nflower.descartes import (
     geometric_spinor_chain,
     kappa_plus_one,
     m_from_normalized,
-    normalize_curvatures,
     parallelogram_invariants,
     residual_with_scale,
     solve_central_curvature,
@@ -29,7 +28,6 @@ from nflower.descartes import (
 )
 from nflower import descartes as descartes_module
 from nflower.euclid import (
-    FlowerSpec,
     NumericFailure,
     four_flower_poly_residual,
     four_flower_poly_scale,
@@ -72,25 +70,6 @@ class TestMVector:
     def test_sequence_protocol(self):
         m = MVector((1.0, 2.0, 3.0))
         assert len(m) == 3 and m[1] == 2.0 and tuple(m) == (1.0, 2.0, 3.0)
-
-
-class TestNormalize:
-    def test_ratio(self):
-        spec = FlowerSpec((2.0, 2.0, 2.0), central_curvature=2.0)
-        assert normalize_curvatures(spec) == [1.0, 1.0, 1.0]
-
-    def test_identity(self):
-        spec = FlowerSpec((0.0, 4.0, 1.0), central_curvature=1.0)
-        assert normalize_curvatures(spec) == [0.0, 4.0, 1.0]
-
-    def test_symmetric_three_flower(self):
-        spec = FlowerSpec((1.0, 1.0, 1.0), central_curvature=K3)
-        assert normalize_curvatures(spec) == pytest.approx([SYM3] * 3, abs=1e-7)
-        assert SYM3 == pytest.approx(0.1547005, abs=1e-7)
-
-    def test_missing_central(self):
-        with pytest.raises(ValueError):
-            normalize_curvatures(FlowerSpec((1.0, 1.0, 1.0)))
 
 
 class TestMFromNormalized:
@@ -241,6 +220,13 @@ class TestSpinorRecursion:
         with pytest.raises(NumericFailure):
             spinor_recursion((0.0, 1.0, 1.0))
 
+    def test_does_not_reconstruct_curvatures(self, monkeypatch):
+        def explode(m, j):
+            raise AssertionError("kappa_plus_one called")
+
+        monkeypatch.setattr(descartes_module, "kappa_plus_one", explode)
+        assert spinor_recursion(FORD_M).etas == (1.0, 2.0, 1.0)
+
 
 class TestEtaClosedForm:
     def test_base_case(self):
@@ -305,6 +291,22 @@ class TestClosureResiduals:
         br, _ = closure_residuals(spinor_recursion(m))
         assert br == pytest.approx(1.0 - math.sqrt(3.0), rel=1e-12)
         assert br == pytest.approx(-0.7320508, abs=1e-7)
+
+    def test_equal_petals_close(self):
+        # Symmetric flowers of even n have a horocycle tangent at infinity
+        # (eta = 0 in exact arithmetic); the chain closes all the same.
+        for k in (1.0, 0.3, 7.0):
+            for n in range(3, 17):
+                k0 = solve_central_curvature([k] * n)
+                chain = spinor_recursion(m_from_normalized([k / k0] * n))
+                assert abs(bracket(chain[0], chain[n - 1]) + 1.0) <= 1e-12
+
+    def test_eta_zero_raises(self):
+        k0 = solve_central_curvature([1.0] * 6)
+        chain = spinor_recursion(m_from_normalized([1.0 / k0] * 6))
+        assert chain.etas[3] == 0.0
+        with pytest.raises(NumericFailure, match="eta_3"):
+            closure_residuals(chain)
 
     def test_zero_set_separation(self):
         # Residuals vanish together on flowers and move away together when

@@ -7,7 +7,6 @@ from nflower import euclid as euclid_module
 from nflower.euclid import (
     TWO_PI,
     Circle,
-    FlowerSpec,
     NumericFailure,
     angle_gap,
     angle_sum,
@@ -45,20 +44,6 @@ class TestCircle:
     def test_bad_center(self):
         with pytest.raises(ValueError):
             Circle(math.nan, 0.0, 1.0)
-
-
-class TestFlowerSpec:
-    def test_needs_three_petals(self):
-        with pytest.raises(ValueError):
-            FlowerSpec((1.0, 1.0))
-
-    def test_zero_curvature_petal_allowed(self):
-        spec = FlowerSpec((0.0, 4.0, 1.0), central_curvature=1.0)
-        assert spec.n == 3
-
-    def test_central_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlowerSpec((1.0, 1.0, 1.0), central_curvature=0.0)
 
 
 class TestAngleGap:

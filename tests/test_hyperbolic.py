@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from nflower import hyperbolic
+from nflower.descartes import geometric_spinor_chain
 from nflower.hyperbolic import (
     DiscHorocycle,
     Horocycle,
@@ -181,6 +183,46 @@ class TestDiscHorocycleMaps:
             assert math.remainder(back.tangency_angle - d.tangency_angle, 2 * math.pi) == pytest.approx(
                 0.0, abs=1e-12
             )
+
+    def test_closed_forms_match_refit_and_round_trip(self):
+        # Reference: the circle through the images of three points of the
+        # source horocycle.
+        rng = random.Random(15)
+        for _ in range(2000):
+            d = DiscHorocycle(rng.uniform(0.05, 2 * math.pi - 0.05), rng.uniform(0.01, 0.95))
+            h = disc_horocycle_to_uhp(d)
+            center, radius = circumcircle(*(
+                disc_to_uhp(d.center + d.radius * cmath.exp(1j * (d.tangency_angle + f)))
+                for f in (0.5 * math.pi, math.pi, 1.5 * math.pi)
+            ))
+            assert abs(center.real - h.tangency) <= 1e-9 * max(1.0, abs(h.tangency))
+            assert abs(center.imag - h.radius) <= 1e-9 * h.radius
+            assert abs(radius - h.radius) <= 1e-9 * h.radius
+            back = uhp_horocycle_to_disc(h)
+            assert abs(back.tangency_angle - d.tangency_angle) <= 1e-13
+            assert abs(back.radius - d.radius) <= 1e-13 * d.radius
+
+            h = Horocycle(rng.uniform(-10, 10), radius=10.0 ** rng.uniform(-2, 2))
+            d = uhp_horocycle_to_disc(h)
+            c = complex(h.tangency, h.radius)
+            center, radius = circumcircle(*(
+                uhp_to_disc(c + h.radius * cmath.exp(1j * f))
+                for f in (-0.5 * math.pi, math.pi / 6.0, 5.0 * math.pi / 6.0)
+            ))
+            assert abs(center - d.center) <= 1e-9
+            assert abs(radius - d.radius) <= 1e-9 * d.radius
+            back = disc_horocycle_to_uhp(d)
+            assert abs(back.tangency - h.tangency) <= 1e-13 * max(1.0, abs(h.tangency))
+            assert abs(back.radius - h.radius) <= 1e-13 * h.radius
+
+    def test_no_refit(self, monkeypatch):
+        def explode(*points):
+            raise AssertionError("circumcircle called")
+
+        monkeypatch.setattr(hyperbolic, "circumcircle", explode)
+        h = disc_horocycle_to_uhp(DiscHorocycle(math.pi, 0.5))
+        assert uhp_horocycle_to_disc(h).radius == pytest.approx(0.5, rel=1e-15)
+        assert len(geometric_spinor_chain([1.0, 2.0, 3.0, 4.0]).chain) == 4
 
     def test_tangency_at_one_rejected(self):
         with pytest.raises(ValueError):
