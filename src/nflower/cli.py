@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .descartes import (
     MAX_POLYNOMIAL_N,
+    _normalized_relation,
     m_from_normalized,
-    residual_with_scale,
     solve_report,
     spinor_recursion,
     descartes_polynomial,
@@ -24,6 +24,7 @@ from .descartes import (
 from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt12
 from .euclid import (
     Circle,
+    NumericFailure,
     _checked_petals,
     classic_descartes_residual,
     classic_descartes_scale,
@@ -32,6 +33,7 @@ from .euclid import (
     layout_flower,
     tangency_residuals,
 )
+from .hyperbolic import bracket
 from .svg import flower_svg
 
 
@@ -97,8 +99,7 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
         worst = max(devs)
         checks.append(("declared curvatures", worst <= doc.tolerance, worst, doc.tolerance))
 
-    m = m_from_normalized([k / doc.central_curvature for k in doc.petal_curvatures])
-    res, scale = residual_with_scale(m)
+    res, scale = _normalized_relation([k / doc.central_curvature for k in doc.petal_curvatures])
     rel = abs(res) / scale
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
@@ -171,6 +172,9 @@ def cmd_spinors(args) -> int:
     k0 = rep.central_curvature
     m = m_from_normalized([k / k0 for k in petals])
     chain = spinor_recursion(m)
+    closing = bracket(chain[0], chain[-1]) + 1.0
+    if not abs(closing) <= args.tol:
+        raise NumericFailure(f"spinor chain does not close: bracket residual {closing:.3e}")
     rows = [
         (j, s.xi, s.eta, m[j], 2.0 * s.eta * s.eta)
         for j, s in enumerate(chain.spinors)

@@ -7,13 +7,16 @@ the normalized petal curvatures.  The auxiliary variables
 
 satisfy a single polynomial equation exactly when the curvatures close up
 into a flower.  Its left side, Im prod_{j>=1}(m_j + i) (times m_0^2 for
-odd n), is evaluated three ways: in phase form, O(n), on the whole solve path
-(both the check of the geometric root and the root bisection); as that
-complex product and as a subset sum of elementary symmetric polynomials,
-which are public API and the tests' reference forms.  The polynomial itself
-is expanded over the integers, and the central curvature solver cross-checks
-the equation's root against the geometric angle-sum oracle from the layout
-module.
+odd n), is |P| sin(theta) with theta = sum_j atan2(1, m_j).  Because
+m_j^2 + 1 = (k_j + 1)(k_{j-1} + 1), the right side over |P| is
+t = 1/sqrt((k_0 + 1)(k_{n-1} + 1)), so the relation divided by |P| is
+sin(theta) - t: O(n), finite for every n, and the one form on the solve
+path (the check of the geometric root, the root bisection and `verify`).
+The complex product and a subset sum of elementary symmetric polynomials
+keep the absolute scale; they are public API and the tests' reference
+forms.  The polynomial itself is expanded over the integers, and the
+central curvature solver cross-checks the equation's root against the
+geometric angle-sum oracle from the layout module.
 
 The same m-variables drive a recursion producing spinor coordinates
 (xi_j, eta_j) of the flat flower: with z_j = xi_j + i eta_j each step is
@@ -218,25 +221,38 @@ def descartes_residual_scale(m: MVector | Sequence[float]) -> float:
 
 
 def residual_with_scale(m: MVector | Sequence[float]) -> tuple[float, float]:
-    """Relation residual and term magnitude in O(n), in phase form: the lhs
-    Im prod_{j>=1}(m_j + i) is |P| sin(sum_j atan2(1, m_j)), times m_0^2 for
-    odd n, and the scale is that |P| (times m_0^2) plus the rhs product.
-    solve_report runs both its check of the geometric root and its root
-    bisection on this form.  Overflow gives inf or nan, not an error.
+    """Relation residual and term magnitude, both divided by the lhs
+    magnitude |P| = prod_{j>=1} |m_j + i| (times m_0^2 for odd n), in O(n):
+    (sin(theta) - t, 1 + t) with theta = sum_j atan2(1, m_j).  Since
+    m_j^2 + 1 = p_j p_{j-1} for p_j = kappa_j + 1, the rhs over that |P| is
+    t = 1/sqrt(p_0 p_{n-1}).  p_{n-1} comes from p_0 = m_0^2 and
+    p_j = (m_j^2 + 1)/p_{j-1}, run on the square roots (sqrt(p_j) =
+    hypot(m_j, 1)/sqrt(p_{j-1})) so that no product is formed and nothing
+    overflows.  The relative residual is that of the complex and subset
+    forms; m_0 = 0 raises ValueError.
     """
-    return _phase_form(_m_values(m))
+    vals = _m_values(m)
+    if vals[0] == 0.0:
+        raise ValueError("zero denominator: m_0 = 0")
+    root_p = vals[0]
+    for v in vals[1:]:
+        root_p = math.hypot(v, 1.0) / root_p
+    return _phase_form(vals, 1.0 / (vals[0] * root_p))
 
 
-def _phase_form(vals: tuple[float, ...]) -> tuple[float, float]:
+def _phase_form(vals: Sequence[float], t: float) -> tuple[float, float]:
+    """The one relation kernel: (sin(theta) - t, 1 + t) for the m-variables
+    vals and the rhs-over-|P| value t."""
     theta = 0.0
-    mag = 1.0
     for v in vals[1:]:
         theta += math.atan2(1.0, v)
-        mag *= math.hypot(v, 1.0)
-    if len(vals) % 2:
-        mag *= vals[0] * vals[0]
-    rhs = _rhs_product(vals)
-    return mag * math.sin(theta) - rhs, mag + rhs
+    return math.sin(theta) - t, 1.0 + t
+
+
+def _normalized_relation(kappas: Sequence[float]) -> tuple[float, float]:
+    """residual_with_scale at normalized curvatures kappas, with t taken
+    from them directly: 1/sqrt((kappa_0 + 1)(kappa_{n-1} + 1)), in [0, 1]."""
+    return _phase_form(_m_tuple(kappas), 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0)))
 
 
 def descartes_residual_complex(m: MVector | Sequence[float]) -> float:
@@ -505,8 +521,8 @@ class CentralSolve:
 
     central_curvature: float  # geometric (angle-sum) root
     polished_curvature: float  # root of the relation residual
-    residual: float  # phase-form residual at the geometric root
-    residual_scale: float
+    residual: float  # relation over |P| at the geometric root: sin(theta) - t
+    residual_scale: float  # term magnitude over |P|: 1 + t, in (1, 2]
 
 
 def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
@@ -516,31 +532,28 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     angle sum of the radii (solve_central_radius); the relation residual at
     that root must vanish to `tol` relative to the term magnitude, and an
     independent bisection of the residual inside a +-10% bracket must land
-    on the same root to `tol`.  Both the check and the
-    bisection evaluate the relation in phase form (see residual_with_scale);
-    a NaN residual at a bracket end or midpoint raises NumericFailure, while
-    +-inf still counts by its sign.
+    on the same root to `tol`.  Both the check and the bisection evaluate
+    the relation divided by |P|, sin(theta) - t with t in [0, 1], on the
+    normalized curvatures (see residual_with_scale), so the value stays
+    finite for any n; a NaN at a bracket end or midpoint would still raise
+    NumericFailure, and +-inf would count by its sign.
     """
     ks = _checked_petals(petals)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    n = len(ks)
     R = solve_central_radius([1.0 / k for k in ks])
     k0 = 1.0 / R
-    m = m_from_normalized([k / k0 for k in ks])
-    res, scale = residual_with_scale(m)
-    if not (math.isfinite(res) and math.isfinite(scale)):
-        raise NumericFailure(f"relation residual is not finite at n = {n}: {res} vs {scale}")
-    if abs(res) > tol * scale:
+    res, scale = _normalized_relation([k / k0 for k in ks])
+    if not abs(res) <= tol * scale:
         raise NumericFailure(
             f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"
         )
 
     def f(k: float) -> float:
-        fk = _phase_form(_m_tuple([p / k for p in ks]))[0]
+        fk = _normalized_relation([p / k for p in ks])[0]
         if math.isnan(fk):
-            raise NumericFailure(f"relation residual is not finite at n = {n}: nan at k = {k!r}")
+            raise NumericFailure(f"relation residual is not finite at n = {len(ks)}: nan at k = {k!r}")
         return fk
 
     lo, hi = 0.9 * k0, 1.1 * k0
@@ -566,9 +579,7 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
                 hi = mid
         kp = 0.5 * (lo + hi)
     if abs(kp - k0) > tol * max(1.0, abs(k0)):
-        raise NumericFailure(
-            f"geometric and relation roots disagree: {k0!r} vs {kp!r}"
-        )
+        raise NumericFailure(f"geometric and relation roots disagree: {k0!r} vs {kp!r}")
     return CentralSolve(k0, kp, res, scale)
 
 

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .euclid import _checked_petals
+
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -40,9 +42,9 @@ class FlowerDocument:
     circles: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "petal_curvatures", tuple(float(k) for k in self.petal_curvatures))
         if self.n < 3 or self.n != len(self.petal_curvatures):
             raise ValueError("n must be >= 3 and match the petal curvature count")
+        object.__setattr__(self, "petal_curvatures", tuple(_checked_petals(self.petal_curvatures)))
         if not (math.isfinite(self.central_curvature) and self.central_curvature > 0.0):
             raise ValueError("central curvature must be positive and finite")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):

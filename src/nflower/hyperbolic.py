@@ -167,22 +167,22 @@ def disc_horocycle_to_uhp(h: DiscHorocycle) -> Horocycle:
 
 
 def uhp_horocycle_to_disc(h: Horocycle) -> DiscHorocycle:
-    """Image of a finite-tangency upper half-plane horocycle in the disc, in
-    closed form, inverting disc_horocycle_to_uhp: tangency angle
-    2 atan2(1, -p), in (0, 2 pi), and radius 1 / (1 + (p^2 + 1) / (2 r)) for
-    tangency p and radius r.
+    """Image of an upper half-plane horocycle in the disc, in closed form,
+    inverting disc_horocycle_to_uhp: tangency angle 2 atan2(1, -p), in
+    (0, 2 pi), and radius 1 / (1 + (p^2 + 1) / (2 r)) for tangency p and
+    radius r.  The line at height h, tangent at infinity, maps to the
+    horocycle tangent at 1 with radius 1 / (1 + h).
     """
     if h.radius is None:
-        raise ValueError("horocycle at infinity not supported here")
+        return DiscHorocycle(0.0, 1.0 / (1.0 + h.height))
     p = h.tangency
     return DiscHorocycle(2.0 * math.atan2(1.0, -p), 1.0 / (1.0 + (p * p + 1.0) / (2.0 * h.radius)))
 
 
 def disc_curvature_of_spinor(s: Spinor) -> float:
     """Euclidean curvature, in the disc model, of the horocycle of a spinor:
-    xi^2 + eta^2 + 1."""
-    if s.eta == 0.0:
-        raise ValueError("horocycle at infinity has no disc curvature here")
+    xi^2 + eta^2 + 1.  For eta = 0 that is the horocycle tangent at 1, the
+    image of the line at height xi^2."""
     return s.xi * s.xi + s.eta * s.eta + 1.0
 
 

@@ -151,6 +151,23 @@ class TestLayoutVerify:
         code, _, _ = run(capsys, "verify", "/no/such/file.json")
         assert code == 2
 
+    def test_many_petals_pass(self, capsys, monkeypatch):
+        code, doc_json, _ = run(capsys, "layout", ",".join(["1"] * 200))
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines), out
+
+    @pytest.mark.parametrize("petals", ["[1, 1, 0]", "[1, 1, -1]"], ids=["zero", "negative"])
+    def test_verify_rejects_nonpositive_petal(self, capsys, monkeypatch, petals):
+        text = f'{{"n": 3, "central_curvature": 6.5, "petal_curvatures": {petals}}}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "verify", "-")
+        assert code == 2 and out == ""
+        assert "petal curvatures must be positive and finite" in err
+
     def test_pipeline_closure_random(self, capsys, monkeypatch):
         rng = random.Random(50)
         for _ in range(100):
@@ -229,6 +246,16 @@ class TestSpinors:
     def test_bad_input(self, capsys):
         code, _, _ = run(capsys, "spinors", "1")
         assert code == 2
+
+    def test_open_chain_exits_3(self, capsys, monkeypatch):
+        from nflower.descartes import spinor_recursion
+
+        # the chain of a non-flower: closing bracket -sqrt(3) instead of -1
+        open_chain = spinor_recursion((math.sqrt(2.0), math.sqrt(3.0), math.sqrt(3.0)))
+        monkeypatch.setattr("nflower.cli.spinor_recursion", lambda m: open_chain)
+        code, out, err = run(capsys, "spinors", "1,1,1")
+        assert code == 3 and out == ""
+        assert "does not close" in err
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_equal_petals_chain_closes(self, capsys, n):

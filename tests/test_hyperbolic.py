@@ -224,6 +224,11 @@ class TestDiscHorocycleMaps:
         assert uhp_horocycle_to_disc(h).radius == pytest.approx(0.5, rel=1e-15)
         assert len(geometric_spinor_chain([1.0, 2.0, 3.0, 4.0]).chain) == 4
 
+    def test_line_at_height_maps_to_tangency_at_one(self):
+        # height h = 4 reaches down to (h - 1)/(h + 1) on the disc's real axis
+        d = uhp_horocycle_to_disc(spinor_to_horocycle(Spinor(2, 0)))
+        assert d.tangency_angle == 0.0 and d.curvature == 5.0
+
     def test_tangency_at_one_rejected(self):
         with pytest.raises(ValueError):
             disc_horocycle_to_uhp(DiscHorocycle(0.0, 0.5))
@@ -246,9 +251,9 @@ class TestDiscCurvature:
         for eta in (0.5, 1.7, 3.0):
             assert disc_curvature_of_spinor(Spinor(0, eta)) == eta * eta + 1.0
 
-    def test_eta_zero_rejected(self):
-        with pytest.raises(ValueError):
-            disc_curvature_of_spinor(Spinor(2, 0))
+    def test_eta_zero_is_tangent_at_one(self):
+        # the line at height xi^2 = 4 maps to the disc horocycle at 1 of radius 1/5
+        assert disc_curvature_of_spinor(Spinor(2, 0)) == 5.0
 
     def test_matches_disc_fit(self):
         # Independent geometric route: map the horocycle to the disc and
