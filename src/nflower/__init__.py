@@ -35,7 +35,6 @@ from .hyperbolic import (
 from .descartes import (
     CentralSolve,
     GeometricChain,
-    MVector,
     ParallelogramInvariants,
     SpinorChain,
     closure_residuals,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -103,17 +104,16 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
     rel = abs(res) / scale
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
+    # Both relations are homogeneous, so they are evaluated on the curvatures
+    # scaled by the power of two that brings k0 into [0.5, 1): the scaling is
+    # exact, and k**4 does not overflow.
+    e = -math.frexp(doc.central_curvature)[1]
+    ks = [math.ldexp(k, e) for k in (doc.central_curvature, *doc.petal_curvatures)]
     if doc.n == 3:
-        k1, k2, k3 = doc.petal_curvatures
-        rel = abs(classic_descartes_residual(doc.central_curvature, k1, k2, k3)) / (
-            classic_descartes_scale(doc.central_curvature, k1, k2, k3)
-        )
+        rel = abs(classic_descartes_residual(*ks)) / classic_descartes_scale(*ks)
         checks.append(("classic 3-flower relation", rel <= tol, rel, tol))
     if doc.n == 4:
-        k1, k2, k3, k4 = doc.petal_curvatures
-        rel = abs(four_flower_poly_residual(doc.central_curvature, k1, k2, k3, k4)) / (
-            four_flower_poly_scale(doc.central_curvature, k1, k2, k3, k4)
-        )
+        rel = abs(four_flower_poly_residual(*ks)) / four_flower_poly_scale(*ks)
         checks.append(("4-flower quartic relation", rel <= tol, rel, tol))
     return checks
 
@@ -157,7 +157,7 @@ def cmd_render(args) -> int:
     doc = FlowerDocument.from_json(_read_input(args.file))
     if doc.circles is None:
         raise ValueError("document has no circles; produce it with `layout`")
-    svg = flower_svg(doc.circles, central_index=0)
+    svg = flower_svg(doc.circles)
     if args.out == "-":
         sys.stdout.write(svg)
     else:

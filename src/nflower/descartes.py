@@ -58,28 +58,6 @@ _BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MVector:
-    """The auxiliary variables m_0..m_{n-1}; all entries are non-negative."""
-
-    m: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        for v in self.m:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"m-variables must be finite and >= 0, got {v}")
-
-    def __len__(self) -> int:
-        return len(self.m)
-
-    def __iter__(self):
-        return iter(self.m)
-
-    def __getitem__(self, j: int) -> float:
-        return self.m[j]
-
-
-@dataclass(frozen=True)
 class SpinorChain:
     """Spinors of a flat flower: xi_0 = 0, eta_0 > 0, and each consecutive
     bracket equals -1 (within 1e-9).  eta_j of later spinors may carry either
@@ -117,8 +95,8 @@ class SpinorChain:
         return tuple(s.eta for s in self.spinors)
 
 
-def _m_values(m: MVector | Sequence[float], minimum: int = 3) -> tuple[float, ...]:
-    vals = tuple(m.m) if isinstance(m, MVector) else tuple(float(v) for v in m)
+def _m_values(m: Sequence[float], minimum: int = 3) -> tuple[float, ...]:
+    vals = tuple(float(v) for v in m)
     if len(vals) < minimum:
         raise ValueError(f"need at least {minimum} m-variables, got {len(vals)}")
     return vals
@@ -136,12 +114,17 @@ def _m_tuple(kappas: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(math.sqrt, rads))
 
 
-def m_from_normalized(kappas: Sequence[float]) -> MVector:
-    """m-variables of normalized petal curvatures (central curvature 1)."""
-    return MVector(_m_tuple(kappas))
+def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
+    """m-variables of normalized petal curvatures (central curvature 1);
+    a non-finite value raises ValueError."""
+    m = _m_tuple(kappas)
+    for v in m:
+        if not math.isfinite(v):
+            raise ValueError(f"m-variables must be finite and >= 0, got {v}")
+    return m
 
 
-def kappa_plus_one(m: MVector | Sequence[float], j: int) -> float:
+def kappa_plus_one(m: Sequence[float], j: int) -> float:
     """Normalized petal curvature plus one, reconstructed from the
     m-variables as a ratio of products of (m^2 + 1) factors.
 
@@ -200,27 +183,27 @@ def _subset_sum(vals: Sequence[float]) -> tuple[float, float]:
     return w * signed, w * absolute
 
 
-def descartes_lhs_subset(m: MVector | Sequence[float]) -> float:
+def descartes_lhs_subset(m: Sequence[float]) -> float:
     """Left side of the relation in subset-sum form (m_0^2 times the signed
     subset sum for odd n, the bare sum for even n)."""
     return _subset_sum(_m_values(m))[0]
 
 
-def descartes_residual_subset(m: MVector | Sequence[float]) -> float:
+def descartes_residual_subset(m: Sequence[float]) -> float:
     """Relation residual, real subset-sum form: lhs - rhs.  Zero exactly on
     m-vectors of flowers."""
     vals = _m_values(m)
     return descartes_lhs_subset(vals) - _rhs_product(vals)
 
 
-def descartes_residual_scale(m: MVector | Sequence[float]) -> float:
+def descartes_residual_scale(m: Sequence[float]) -> float:
     """Total magnitude of the relation's terms; residuals are compared
     relative to this."""
     vals = _m_values(m)
     return _subset_sum(vals)[1] + _rhs_product(vals)
 
 
-def residual_with_scale(m: MVector | Sequence[float]) -> tuple[float, float]:
+def residual_with_scale(m: Sequence[float]) -> tuple[float, float]:
     """Relation residual and term magnitude, both divided by the lhs
     magnitude |P| = prod_{j>=1} |m_j + i| (times m_0^2 for odd n), in O(n):
     (sin(theta) - t, 1 + t) with theta = sum_j atan2(1, m_j).  Since
@@ -255,7 +238,7 @@ def _normalized_relation(kappas: Sequence[float]) -> tuple[float, float]:
     return _phase_form(_m_tuple(kappas), 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0)))
 
 
-def descartes_residual_complex(m: MVector | Sequence[float]) -> float:
+def descartes_residual_complex(m: Sequence[float]) -> float:
     """Relation residual via the complex product form
     (i/2)(prod(m_j - i) - prod(m_j + i)), times m_0^2 for odd n, minus the
     same rhs product.  The intermediate value must be real; a residual
@@ -330,7 +313,7 @@ def descartes_polynomial(n: int) -> PolynomialZZ:
     return PolynomialZZ(n, tuple(terms))
 
 
-def spinor_recursion(m: MVector | Sequence[float]) -> SpinorChain:
+def spinor_recursion(m: Sequence[float]) -> SpinorChain:
     """Spinor chain generated from the m-variables.
 
     Starts at z_0 = i m_0 and steps by z_j = (m_j - i) z_{j-1} / g, with
@@ -354,7 +337,7 @@ def spinor_recursion(m: MVector | Sequence[float]) -> SpinorChain:
     return SpinorChain(tuple(spinors))
 
 
-def eta_closed_form(m: MVector | Sequence[float], j: int) -> float:
+def eta_closed_form(m: Sequence[float], j: int) -> float:
     """eta_j directly from the m-variables:
     2 Re(prod_{k<=j}(m_k - i)) over twice the alternating (m^2 + 1) product,
     with an m_0 factor on the side depending on the parity of j."""
@@ -445,11 +428,7 @@ def flat_curvatures(chain: SpinorChain) -> list[float]:
 def flat_flower_residual(kappas: Sequence[float]) -> float:
     """Closure residual of a flat flower with the given horocycle curvatures:
     sum_j 1/sqrt(k_j k_{j+1}) - 1/sqrt(k_0 k_{n-1})."""
-    ks = [float(k) for k in kappas]
-    if len(ks) < 3:
-        raise ValueError("need at least 3 curvatures")
-    if any(not math.isfinite(k) or k <= 0.0 for k in ks):
-        raise ValueError("curvatures must be positive and finite")
+    ks = _checked_petals(kappas, "curvatures")
     n = len(ks)
     return sum(1.0 / math.sqrt(ks[j] * ks[j + 1]) for j in range(n - 1)) - 1.0 / math.sqrt(
         ks[0] * ks[n - 1]
@@ -471,26 +450,23 @@ class GeometricChain:
     disc_curvatures: tuple[float, ...]
 
 
-def geometric_spinor_chain(
-    petal_curvatures: Sequence[float], tol: float = 1e-12, start: int | None = None
-) -> GeometricChain:
+def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
     """Run a flower through the whole geometric pipeline and return the
     resulting spinor chain: lay out, rescale to a unit central circle, invert
     the petals into the disc, move to the upper half-plane, and take the
     eta > 0 spinor of each horocycle, translated so the chain starts at 0.
 
     All eta are positive here, unlike in spinor_recursion.  The chain is cut
-    at the widest gap by default (best numerical conditioning); pass `start`
-    to cut before a specific petal instead.
+    at the widest gap (best numerical conditioning); `start` of the result
+    says where.
     """
     ks = _checked_petals(petal_curvatures)
     n = len(ks)
-    layout = layout_flower([1.0 / k for k in ks], tol)
+    layout = layout_flower([1.0 / k for k in ks])
     R = layout.central.r
     gaps = layout.gap_angles
-    if start is None:
-        # widest gap precedes the chain start
-        start = (max(range(n), key=lambda j: gaps[j]) + 1) % n
+    # widest gap precedes the chain start
+    start = (max(range(n), key=lambda j: gaps[j]) + 1) % n
     order = [(start + i) % n for i in range(n)]
     gaps_o = [gaps[j] for j in order]
 
@@ -532,11 +508,11 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     angle sum of the radii (solve_central_radius); the relation residual at
     that root must vanish to `tol` relative to the term magnitude, and an
     independent bisection of the residual inside a +-10% bracket must land
-    on the same root to `tol`.  Both the check and the bisection evaluate
-    the relation divided by |P|, sin(theta) - t with t in [0, 1], on the
-    normalized curvatures (see residual_with_scale), so the value stays
-    finite for any n; a NaN at a bracket end or midpoint would still raise
-    NumericFailure, and +-inf would count by its sign.
+    on the same root to `tol` relative to it.  Both the check and the
+    bisection evaluate the relation divided by |P|, sin(theta) - t with t in
+    [0, 1], on the normalized curvatures (see residual_with_scale), so the
+    value stays finite for any n; a NaN at a bracket end or midpoint would
+    still raise NumericFailure, and +-inf would count by its sign.
     """
     ks = _checked_petals(petals)
     if not tol > 0.0:
@@ -578,7 +554,7 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
             else:
                 hi = mid
         kp = 0.5 * (lo + hi)
-    if abs(kp - k0) > tol * max(1.0, abs(k0)):
+    if abs(kp - k0) > tol * k0:
         raise NumericFailure(f"geometric and relation roots disagree: {k0!r} vs {kp!r}")
     return CentralSolve(k0, kp, res, scale)
 

@@ -13,6 +13,7 @@ petal bracket the unique solution, and a safeguarded Newton iteration finds it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,7 +139,7 @@ def _geometric_midpoint(lo: float, hi: float) -> float:
     return mid if lo <= mid <= hi else math.sqrt(lo) * math.sqrt(hi)
 
 
-def solve_central_radius(petal_radii: Sequence[float], tol: float = 1e-12) -> float:
+def solve_central_radius(petal_radii: Sequence[float]) -> float:
     """Radius of the central circle around which the given petals close up.
 
     The angle sum increases with every petal radius, so the root lies between
@@ -149,12 +150,10 @@ def solve_central_radius(petal_radii: Sequence[float], tol: float = 1e-12) -> fl
     iteration stops once a step is below 1e-14 R (or after 100 steps; the
     final check decides).  Every operation commutes with scaling the radii
     by a power of two, so such scaling is exact.
-    `tol` is the accepted residual of the angle sum against a full turn.
+    The angle sum at the root must be a full turn to within
+    max(1e-12, 2 pi n eps), since rounding in a sum of n angles grows with n.
     """
     radii = _checked_petals(petal_radii, "petal radii")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
     n = len(radii)
     s = math.sin(math.pi / n)
     c = (1.0 - s) / s
@@ -185,18 +184,19 @@ def solve_central_radius(petal_radii: Sequence[float], tol: float = 1e-12) -> fl
         if done:
             break
     residual = angle_sum(R, radii) - TWO_PI
+    tol = max(1e-12, TWO_PI * n * sys.float_info.epsilon)
     if not abs(residual) <= tol:  # also catches NaN
         raise NumericFailure(f"angle sum residual {residual:.3e} exceeds tol {tol:.3e}")
     return R
 
 
-def layout_flower(petal_radii: Sequence[float], tol: float = 1e-12) -> FlowerLayout:
+def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     """Lay out the flower with the central circle at the origin.
 
     Petal j sits at polar angle sum(gap_angles[:j]) and distance R + r_j.
     """
     radii = [float(r) for r in petal_radii]
-    R = solve_central_radius(radii, tol)
+    R = solve_central_radius(radii)
     n = len(radii)
     gaps = [angle_gap(R, radii[j], radii[(j + 1) % n]) for j in range(n)]
     petals = []
@@ -223,12 +223,12 @@ def tangency_residuals(central: Circle, petals: Sequence[Circle]) -> tuple[list[
     return cen, adj
 
 
-def validate_flower(layout: FlowerLayout, tol: float = TANGENCY_TOL) -> bool:
-    """Check the adjacency tangencies and the gap-angle sum of a layout."""
+def validate_flower(layout: FlowerLayout) -> bool:
+    """Check the tangencies and the gap-angle sum of a layout to TANGENCY_TOL."""
     cen, adj = tangency_residuals(layout.central, layout.petals)
-    if any(abs(x) > tol for x in cen) or any(abs(x) > tol for x in adj):
+    if any(abs(x) > TANGENCY_TOL for x in cen + adj):
         return False
-    return abs(sum(layout.gap_angles) - TWO_PI) <= tol
+    return abs(sum(layout.gap_angles) - TWO_PI) <= TANGENCY_TOL
 
 
 def invert_in_unit_circle(c: Circle) -> Circle:
@@ -243,7 +243,7 @@ def invert_in_unit_circle(c: Circle) -> Circle:
     return Circle(c.cx / d, c.cy / d, c.r / abs(d))
 
 
-def inverted_flower(layout: FlowerLayout, tol: float = TANGENCY_TOL) -> list[Circle]:
+def inverted_flower(layout: FlowerLayout) -> list[Circle]:
     """Invert the petals of a unit-central layout in the central circle.
 
     Each image is internally tangent to the unit circle, with curvature equal
@@ -251,7 +251,7 @@ def inverted_flower(layout: FlowerLayout, tol: float = TANGENCY_TOL) -> list[Cir
     central circle is the unit circle at the origin.
     """
     cen = layout.central
-    if abs(cen.r - 1.0) > tol or math.hypot(cen.cx, cen.cy) > tol:
+    if abs(cen.r - 1.0) > TANGENCY_TOL or math.hypot(cen.cx, cen.cy) > TANGENCY_TOL:
         raise ValueError("layout must be normalized to a unit central circle at the origin")
     return [invert_in_unit_circle(p) for p in layout.petals]
 

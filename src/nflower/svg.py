@@ -15,8 +15,9 @@ _CENTRAL_STROKE = "#c0392b"
 _PETAL_STROKE = "#2c3e50"
 
 
-def flower_svg(circles: Sequence[tuple[float, float, float]], central_index: int = 0) -> str:
-    """SVG document for a list of (cx, cy, r) circles; y-axis points up."""
+def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
+    """SVG document for a list of (cx, cy, r) circles, the central circle
+    first; y-axis points up."""
     if not circles:
         raise ValueError("nothing to render")
     xmin = min(cx - r for cx, cy, r in circles)
@@ -35,7 +36,7 @@ def flower_svg(circles: Sequence[tuple[float, float, float]], central_index: int
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
     ]
     for i, (cx, cy, r) in enumerate(circles):
-        color = _CENTRAL_STROKE if i == central_index else _PETAL_STROKE
+        color = _CENTRAL_STROKE if i == 0 else _PETAL_STROKE
         lines.append(
             f'  <circle cx="{fmt12(cx)}" cy="{fmt12(-cy)}" r="{fmt12(r)}" '
             f'fill="none" stroke="{color}" stroke-width="{fmt12(stroke)}"/>'

@@ -1,8 +1,10 @@
 import io
+import itertools
 import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +170,15 @@ class TestLayoutVerify:
         assert code == 2 and out == ""
         assert "petal curvatures must be positive and finite" in err
 
+    @pytest.mark.parametrize("petals", ["1e80,1e80,1e80,1e80", "1e160,2e160,3e160"])
+    def test_verify_huge_curvatures(self, capsys, monkeypatch, petals):
+        # k**4 of the quartic and the squares of the classic relation would
+        # overflow on the raw curvatures.
+        _, doc_json, _ = run(capsys, "layout", petals)
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 0, out
+
     def test_pipeline_closure_random(self, capsys, monkeypatch):
         rng = random.Random(50)
         for _ in range(100):
@@ -282,6 +293,26 @@ class TestPolynomialCommand:
 
     def test_non_integer(self, capsys):
         assert run(capsys, "polynomial", "x")[0] == 2
+
+
+class TestReadmeExamples:
+    """The README's example outputs, byte for byte."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_solve(self, capsys):
+        text = self.README.read_text(encoding="utf-8")
+        after = text[text.index("nflower solve 1,1,1\n"):].splitlines()[1:]
+        shown = list(itertools.takewhile(lambda line: line.startswith("# "), after))
+        assert len(shown) == 3
+        assert run(capsys, "solve", "1,1,1") == (0, "".join(line[2:] + "\n" for line in shown), "")
+
+    def test_polynomial(self, capsys):
+        text = self.README.read_text(encoding="utf-8")
+        fence = text.index("```\n", text.index("`nflower polynomial 3` prints"))
+        shown = text[fence + 4 : text.index("```", fence + 4)]
+        assert shown == GOLDEN_POLY_3
+        assert run(capsys, "polynomial", "3") == (0, shown, "")
 
 
 class TestDispatch:

@@ -6,7 +6,6 @@ import pytest
 
 from nflower.descartes import (
     CentralSolve,
-    MVector,
     SpinorChain,
     closure_residuals,
     descartes_lhs_subset,
@@ -60,16 +59,6 @@ def enumerated_relation(m):
     w = m[0] ** 2 if n % 2 else 1.0
     rhs = math.prod(m[k] ** 2 + 1.0 for k in range(2 - n % 2, n - 1, 2))
     return w * signed, w * absolute, rhs
-
-
-class TestMVector:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MVector((1.0, -0.1, 2.0))
-
-    def test_sequence_protocol(self):
-        m = MVector((1.0, 2.0, 3.0))
-        assert len(m) == 3 and m[1] == 2.0 and tuple(m) == (1.0, 2.0, 3.0)
 
 
 class TestMFromNormalized:
@@ -408,10 +397,6 @@ class TestGeometricChain:
             k_norm = petals[(g.start + i) % n] / g.central_curvature
             assert kd == pytest.approx(k_norm + 2.0, rel=1e-12)
 
-    def test_explicit_start(self):
-        g = geometric_spinor_chain([1.0, 2.0, 3.0], start=2)
-        assert g.start == 2
-
     def test_central_curvature_matches_solver(self):
         petals = [1.0, 0.4, 2.5]
         g = geometric_spinor_chain(petals)
@@ -458,16 +443,32 @@ class TestCentralCurvatureSolver:
         assert abs(flat_flower_residual(flat_curvatures(g.chain))) < 1e-10
 
 
-    @pytest.mark.parametrize("n", [13, 20, 24, 25, 60, 120, 175, 200, 1000, 10000])
+    @pytest.mark.parametrize("n", [13, 20, 24, 25, 60, 120, 175, 200, 1000, 10000, 13547, 30000])
     def test_equal_petals_closed_form(self, n):
         # |P| is never formed, so n is not capped where it would overflow
-        # (near 175 unit petals).
+        # (near 175 unit petals).  Rounding in the sum of n angles exceeds an
+        # absolute 1e-12 from 13,547 petals on; the angle-sum check scales
+        # with n eps.
         s = math.sin(math.pi / n)
         for k in (1.0, 3.5):
             rep = solve_report([k] * n)
             assert rep.central_curvature == pytest.approx(k * s / (1.0 - s), rel=1e-9)
             assert rep.polished_curvature == pytest.approx(k * s / (1.0 - s), rel=1e-9)
             assert abs(rep.residual) <= 1e-9 * rep.residual_scale
+
+    def test_root_agreement_is_relative(self, monkeypatch):
+        # Move the relation root 5% away from the geometric root k0 = 6.46e-12.
+        # An absolute tolerance of 1e-9 max(1, k0) would accept it.
+        real = descartes_module._normalized_relation
+        calls = []
+
+        def shifted(kappas):
+            calls.append(1)
+            return real(kappas if len(calls) == 1 else [1.05 * k for k in kappas])
+
+        monkeypatch.setattr(descartes_module, "_normalized_relation", shifted)
+        with pytest.raises(NumericFailure, match="disagree"):
+            solve_report([1e-12] * 3)
 
     def test_random_flowers_around_former_cap(self):
         rng = random.Random(36)
