@@ -88,15 +88,17 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
     if doc.circles is not None:
         central = Circle(*doc.circles[0])
         petals = [Circle(*c) for c in doc.circles[1:]]
+        # Relative checks mean the same at every scale.  Neighbours are judged
+        # against R + r_a + r_b, not r_a + r_b: far petals' Cartesian centres
+        # lose digits to their distance from the origin.
         cen, adj = tangency_residuals(central, petals)
-        worst = max(abs(x) for x in cen)
+        R, n = central.r, len(petals)
+        worst = max(abs(x) / (R + p.r) for x, p in zip(cen, petals))
         checks.append(("central tangency", worst <= doc.tolerance, worst, doc.tolerance))
-        worst = max(abs(x) for x in adj)
+        worst = max(abs(x) / (R + petals[j].r + petals[(j + 1) % n].r) for j, x in enumerate(adj))
         checks.append(("petal adjacency", worst <= doc.tolerance, worst, doc.tolerance))
-        devs = [abs(central.curvature - doc.central_curvature) / max(1.0, doc.central_curvature)]
-        devs += [
-            abs(p.curvature - k) / max(1.0, k) for p, k in zip(petals, doc.petal_curvatures)
-        ]
+        devs = [abs(central.curvature - doc.central_curvature) / doc.central_curvature]
+        devs += [abs(p.curvature - k) / k for p, k in zip(petals, doc.petal_curvatures)]
         worst = max(devs)
         checks.append(("declared curvatures", worst <= doc.tolerance, worst, doc.tolerance))
 
@@ -200,10 +202,21 @@ def cmd_polynomial(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """The --tol value: a positive, finite real, or argparse's usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                        help="verification tolerance (default 1e-9)")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                        help="verification tolerance, positive and finite (default 1e-9)")
     common.add_argument("--json", action="store_true", help="machine-readable reports")
 
     parser = argparse.ArgumentParser(

@@ -515,8 +515,8 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     still raise NumericFailure, and +-inf would count by its sign.
     """
     ks = _checked_petals(petals)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     R = solve_central_radius([1.0 / k for k in ks])
     k0 = 1.0 / R

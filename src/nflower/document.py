@@ -30,6 +30,23 @@ def fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _number(v, what: str) -> float:
+    """A JSON number as a float; a bool or a string is not a number."""
+    if type(v) is not float and type(v) is not int:
+        raise ValueError(f"{what}: expected a JSON number, got {v!r}")
+    return float(v)
+
+
+def _numbers(values, what: str) -> list:
+    """values, after checking that it is a JSON array of JSON numbers."""
+    if type(values) is not list:
+        raise ValueError(f"{what}: expected a JSON array, got {values!r}")
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            raise ValueError(f"{what}: expected JSON numbers, got {v!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class FlowerDocument:
     """A solved flower: curvatures, tolerance, and optionally the realized
@@ -53,6 +70,10 @@ class FlowerDocument:
             circles = tuple(tuple(float(v) for v in c) for c in self.circles)
             if len(circles) != self.n + 1 or any(len(c) != 3 for c in circles):
                 raise ValueError("circles must be n+1 triples (cx, cy, r), central first")
+            for cx, cy, r in circles:
+                # 0 < r < inf is False for a NaN radius too.
+                if not (math.isfinite(cx) and math.isfinite(cy) and 0.0 < r < math.inf):
+                    raise ValueError("circle centres must be finite and radii positive and finite")
             object.__setattr__(self, "circles", circles)
 
     def to_json(self) -> str:
@@ -81,16 +102,24 @@ class FlowerDocument:
         if not isinstance(raw, dict):
             raise ValueError("document must be a JSON object")
         try:
-            n = int(raw["n"])
-            central = float(raw["central_curvature"])
-            petals = tuple(float(k) for k in raw["petal_curvatures"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, central, petals = raw["n"], raw["central_curvature"], raw["petal_curvatures"]
+        except KeyError as exc:
+            raise ValueError(f"bad document fields: missing {exc}") from exc
+        if type(n) is not int:  # a bool is not an int here
+            raise ValueError(f"n: expected a JSON integer, got {n!r}")
+        circles = raw.get("circles")
+        if circles is not None:
+            if type(circles) is not list:
+                raise ValueError(f"circles: expected a JSON array, got {circles!r}")
+            circles = [_numbers(c, "circle") for c in circles]
+        # __post_init__ turns the petal curvatures and circles into floats.
+        try:
+            return cls(
+                n,
+                _number(central, "central_curvature"),
+                _numbers(petals, "petal_curvatures"),
+                _number(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance"),
+                circles,
+            )
+        except OverflowError as exc:  # a JSON integer beyond the float range
             raise ValueError(f"bad document fields: {exc}") from exc
-        tolerance = float(raw.get("tolerance", DEFAULT_TOLERANCE))
-        circles = None
-        if raw.get("circles") is not None:
-            try:
-                circles = tuple(tuple(float(v) for v in c) for c in raw["circles"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad circles field: {exc}") from exc
-        return cls(n, central, petals, tolerance, circles)

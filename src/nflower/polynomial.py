@@ -89,7 +89,10 @@ class PolynomialZZ:
         return total
 
     def serialize(self) -> str:
-        return "".join(f"{c} {' '.join(str(e) for e in exps)}\n" for c, exps in self.terms)
+        # One %-template per polynomial formats a whole row in one call; "%s"
+        # prints every int, float and bool exactly as str() does.
+        row = "%s " + " ".join(["%s"] * self.nvars) + "\n"
+        return "".join([row % (c, *exps) for c, exps in self.terms])
 
     @classmethod
     def parse(cls, text: str) -> "PolynomialZZ":

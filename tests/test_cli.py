@@ -191,6 +191,125 @@ class TestLayoutVerify:
             assert code == 0, out
 
 
+class TestVerifyRelative:
+    """The circle checks of verify are relative to the circles' scale."""
+
+    @pytest.mark.parametrize("spread", [4, 8])
+    def test_layouts_pass_at_every_scale(self, capsys, monkeypatch, spread):
+        # Curvatures 10^U(-spread, spread); every check of every layout
+        # passes.  At spread 12 three of these 300 still fail the relation
+        # check, which is the relation solver's conditioning, not the checks.
+        rng = random.Random(spread)
+        for _ in range(300):
+            n = rng.choice((3, 4, 5, 7, 12, 40, 200))
+            petals = ",".join(repr(10 ** rng.uniform(-spread, spread)) for _ in range(n))
+            code, doc_json, _ = run(capsys, "layout", petals)
+            assert code == 0, petals
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+            code, out, _ = run(capsys, "verify", "-")
+            assert code == 0, (petals, out)
+
+    def test_tiny_flower_passes(self, capsys, monkeypatch):
+        # An absolute adjacency residual of 3.7e-9 at radii 1e7 is rounding.
+        _, doc_json, _ = run(capsys, "layout", "1e-7,1e-7,1e-7")
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 0, out
+        assert "FAIL" not in out
+
+    def test_displaced_small_flower_fails(self, capsys, monkeypatch):
+        # Radii of 1e-9: every petal centre moved out by 30% is an absolute
+        # error below 1e-9, and still no flower.
+        _, doc_json, _ = run(capsys, "layout", "1e9,1e9,1e9")
+        raw = json.loads(doc_json)
+        raw["circles"][1:] = [[1.3 * cx, 1.3 * cy, r] for cx, cy, r in raw["circles"][1:]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(raw)))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 1
+        assert "FAIL central tangency (value 0.3," in out
+        assert "FAIL petal adjacency" in out
+        assert "PASS declared curvatures" in out
+
+    def test_curvature_check_is_relative(self, capsys, monkeypatch):
+        # A petal radius off by 1e-8 relative fails below curvature 1 too,
+        # where the curvature's absolute error is only 1e-10.
+        _, doc_json, _ = run(capsys, "layout", "0.01,0.01,0.01")
+        raw = json.loads(doc_json)
+        cx, cy, r = raw["circles"][1]
+        raw["circles"][1] = [cx, cy, r * (1.0 + 1e-8)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(raw)))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 1
+        assert "FAIL declared curvatures" in out
+
+
+class TestDocumentFieldTypes:
+    """verify and render exit 2 on a document whose fields have the wrong
+    JSON type or whose circles are not circles."""
+
+    K0 = 6.464101615137754
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f'{{"n": 3, "central_curvature": {K0}, "petal_curvatures": "111"}}',
+            f'{{"n": "3", "central_curvature": "{K0}", "petal_curvatures": ["1", "1", "1"]}}',
+            f'{{"n": 3.9, "central_curvature": {K0}, "petal_curvatures": [1, 1, 1]}}',
+            f'{{"n": 3, "central_curvature": {K0}, "petal_curvatures": [1, 1, 1], "tolerance": true}}',
+        ],
+        ids=["string-petals", "string-fields", "float-n", "bool-tolerance"],
+    )
+    def test_verify_rejects(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "verify", "-")
+        assert (code, out) == (2, "")
+        assert "expected a JSON" in err
+
+    @pytest.mark.parametrize(
+        "circles",
+        [
+            [[0, 0, math.nan], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+            ["000", "123", "456", "789"],
+            [[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+        ],
+        ids=["nan-radius", "string-circles", "zero-radius"],
+    )
+    def test_render_rejects(self, capsys, monkeypatch, circles):
+        _, doc_json, _ = run(capsys, "layout", "1,1,1")
+        raw = json.loads(doc_json)
+        raw["circles"] = circles
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(raw)))
+        code, out, err = run(capsys, "render", "-", "-")
+        assert (code, out) == (2, "")
+        assert "error: circle" in err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--tol", "0", "-"],
+            ["verify", "--tol", "nan", "-"],
+            ["verify", "--tol", "-1", "-"],
+            ["solve", "--tol", "inf", "1,1,1"],
+            ["spinors", "--tol", "inf", "1,1,1"],
+            ["layout", "--tol", "inf", "1,1,1"],
+            ["solve", "--tol", "x", "1,1,1"],
+        ],
+    )
+    def test_usage_error(self, capsys, monkeypatch, argv):
+        _, doc_json, _ = run(capsys, "layout", "1,1,1")
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "argument --tol: must be positive and finite" in err
+
+    def test_small_positive_tolerance(self, capsys):
+        code, out, _ = run(capsys, "solve", "--tol", "1e-6", "1,1,1")
+        assert code == 0
+        assert "central curvature: 6.46410161514" in out
+
+
 class TestRender:
     def test_svg_structure(self, capsys, tmp_path):
         _, doc_json, _ = run(capsys, "layout", "1,1,1")

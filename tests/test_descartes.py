@@ -561,6 +561,11 @@ class TestCentralCurvatureSolver:
                 assert abs(res) <= 1e-9 * four_flower_poly_scale(k, *petals)
         assert solved >= 119
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_report([1.0, 1.0, 1.0], tol)
+
     def test_thin_four_flower_passes_quartic(self):
         petals = (1.0, 1.0, 1.0, 1e9)
         k = solve_report(petals).central_curvature

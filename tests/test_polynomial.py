@@ -91,6 +91,40 @@ class TestSerialization:
             PolynomialZZ.parse("1 0 1\n2 0 1\n")
 
 
+def fstring_serialize(p):
+    """The f-string formatting serialize() had before its row template; the
+    byte-for-byte reference."""
+    return "".join(f"{c} {' '.join(str(e) for e in exps)}\n" for c, exps in p.terms)
+
+
+class TestSerializeBytes:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_descartes_polynomial(self, n):
+        p = descartes_polynomial(n)
+        assert p.serialize() == fstring_serialize(p)
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            (PolynomialZZ.constant(0, 5), "5 \n"),
+            (PolynomialZZ.from_dict(1, {(3,): -2, (0,): 1}), "-2 3\n1 0\n"),
+            (PolynomialZZ.from_dict(2, {(12, 0): 7, (0, 10): -1}), "7 12 0\n-1 0 10\n"),
+            (PolynomialZZ.from_dict(3, {(1, 0, 2): 2**64 + 1, (0, 0, 0): -(2**70)}),
+             f"{2**64 + 1} 1 0 2\n{-(2**70)} 0 0 0\n"),
+            (PolynomialZZ(2, ((1.5, (1, 0)), (-0.0, (0, 1)), (1e300, (0, 0)))),
+             "1.5 1 0\n-0.0 0 1\n1e+300 0 0\n"),
+            (PolynomialZZ(2, ((True, (1, 1)), (False, (0, 0)))), "True 1 1\nFalse 0 0\n"),
+        ],
+        ids=["nvars-0", "one-variable", "exponent-10", "beyond-int64", "float", "bool"],
+    )
+    def test_hand_built(self, p, expected):
+        assert fstring_serialize(p) == expected
+        assert p.serialize() == expected
+
+    def test_zero_polynomial(self):
+        assert PolynomialZZ.zero(3).serialize() == ""
+
+
 class TestDescartesPolynomial:
     def test_bounds(self):
         with pytest.raises(ValueError):
