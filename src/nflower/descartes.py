@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Sequence
@@ -53,6 +54,11 @@ from .polynomial import PolynomialZZ
 # 2^floor((n-1)/2) rhs terms (for even n the two constants merge or cancel),
 # about 4.2 million at n = 24.
 MAX_POLYNOMIAL_N = 24
+
+# descartes_polynomial keeps the polynomials up to this n for the life of the
+# process: n = 3..12 together, with their serialized text, hold about 0.45 MB
+# (tracemalloc), while n = 14 alone would hold 1.0 MB and n = 18 18.8 MB.
+_KEPT_N = 12
 
 _BRACKET_TOL = 1e-9
 
@@ -287,13 +293,23 @@ def descartes_polynomial(n: int) -> PolynomialZZ:
     written out degree by degree, each family already in order and one sort
     per degree merging the two runs, and no coefficient is ever summed but
     the constant: -1 for odd n, -2 for n = 0 (mod 4), none for n = 2 (mod 4).
-    Exponential in n; capped at n = MAX_POLYNOMIAL_N.
+    Exponential in n; capped at n = MAX_POLYNOMIAL_N.  Polynomials up to
+    n = _KEPT_N are built once per process and the same instance is
+    returned on every later call; larger ones are built on each call.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_POLYNOMIAL_N:
         raise ValueError(f"subset enumeration capped at n = {MAX_POLYNOMIAL_N}")
+    if n <= _KEPT_N:
+        return _relation_polynomial(n)
+    return _relation_polynomial.__wrapped__(n)
 
+
+@lru_cache(maxsize=None, typed=True)
+def _relation_polynomial(n: int) -> PolynomialZZ:
+    """descartes_polynomial(n) without the bounds check.  typed=True keeps
+    5.0 apart from 5, so a float n still fails as it does uncached."""
     odd = n % 2
     idx = range(1, n - 1, 2) if odd else range(2, n - 1, 2)
     terms = []
@@ -526,13 +542,23 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
             f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"
         )
 
+    # For k0 >= 0.5 the bracket and the bisection run on the curvatures
+    # times down = 2^-e, e = frexp(k0)[1], which puts k0 in [0.5, 1), so
+    # 1.1 k0 cannot overflow.  Each quotient p/k stays the same float, or a
+    # subnormal either way, which the m-variables add to 1; dividing by
+    # `down` maps a root back exactly, to inf beyond the float range.
+    down = 2.0 ** -max(math.frexp(k0)[1], 0)
+    scaled = [p * down for p in ks]
+
     def f(k: float) -> float:
-        fk = _normalized_relation([p / k for p in ks])[0]
+        fk = _normalized_relation([p / k for p in scaled])[0]
         if math.isnan(fk):
-            raise NumericFailure(f"relation residual is not finite at n = {len(ks)}: nan at k = {k!r}")
+            raise NumericFailure(
+                f"relation residual is not finite at n = {len(ks)}: nan at k = {k / down!r}"
+            )
         return fk
 
-    lo, hi = 0.9 * k0, 1.1 * k0
+    lo, hi = 0.9 * (k0 * down), 1.1 * (k0 * down)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         kp = lo
@@ -554,6 +580,7 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
             else:
                 hi = mid
         kp = 0.5 * (lo + hi)
+    kp /= down
     if abs(kp - k0) > tol * k0:
         raise NumericFailure(f"geometric and relation roots disagree: {k0!r} vs {kp!r}")
     return CentralSolve(k0, kp, res, scale)

@@ -72,15 +72,29 @@ class FlowerLayout:
         return len(self.petals)
 
 
+# Petal curvatures and radii lie in [_SMALLEST, _LARGEST], a range that
+# taking reciprocals maps onto itself: below _SMALLEST (a subnormal) 1/v
+# overflows, and above _LARGEST 1/v falls below _SMALLEST, so a curvature
+# there would turn into a radius that fails this check.
+_SMALLEST = math.nextafter(1.0 / sys.float_info.max, 1.0)
+_LARGEST = 1.0 / _SMALLEST
+
+
 def _checked_petals(values: Sequence[float], what: str = "petal curvatures") -> list[float]:
     """The values as floats, after checking that there are at least 3 and
-    that each is positive and finite; the one input check of every entry
-    point that takes petals."""
+    that each is positive and finite with a finite reciprocal; the one input
+    check of every entry point that takes petals."""
     vals = [float(v) for v in values]
     if len(vals) < 3:
         raise ValueError("a flower needs at least 3 petals")
     if any(not math.isfinite(v) or v <= 0.0 for v in vals):
         raise ValueError(f"{what} must be positive and finite")
+    for v in vals:
+        if not _SMALLEST <= v <= _LARGEST:
+            raise ValueError(
+                f"{what} must lie in [{_SMALLEST!r}, {_LARGEST!r}], where the reciprocal "
+                f"is finite, got {v!r}"
+            )
     return vals
 
 

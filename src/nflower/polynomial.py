@@ -3,7 +3,8 @@
 Terms are kept as (coefficient, exponent-vector) pairs in graded
 lexicographic order (total degree first, then lexicographic with the first
 variable highest), with no zero coefficients and no duplicate exponent
-vectors, so equal polynomials serialize to identical bytes.
+vectors, so equal polynomials serialize to identical bytes.  A polynomial
+is immutable and keeps its serialized text after the first `serialize()`.
 
 Line format, one term per line: `<coefficient> <e_0> <e_1> ... <e_{n-1}>`.
 """
@@ -89,10 +90,16 @@ class PolynomialZZ:
         return total
 
     def serialize(self) -> str:
-        # One %-template per polynomial formats a whole row in one call; "%s"
-        # prints every int, float and bool exactly as str() does.
-        row = "%s " + " ".join(["%s"] * self.nvars) + "\n"
-        return "".join([row % (c, *exps) for c, exps in self.terms])
+        # The instance is frozen, so its text is formatted once and kept
+        # outside the dataclass fields (==, hash and repr do not see it).
+        text = self.__dict__.get("_text")
+        if text is None:
+            # One %-template per polynomial formats a whole row in one call;
+            # "%s" prints every int, float and bool exactly as str() does.
+            row = "%s " + " ".join(["%s"] * self.nvars) + "\n"
+            text = "".join([row % (c, *exps) for c, exps in self.terms])
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def parse(cls, text: str) -> "PolynomialZZ":

@@ -58,6 +58,20 @@ class TestSolve:
         assert code == 0
         assert "central curvature: " in out
 
+    @pytest.mark.parametrize("petals, central", [("1e308,1,1", "1e+308"), ("1.7e308,1,1", "1.7e+308")])
+    def test_curvatures_near_float_max(self, capsys, petals, central):
+        code, out, err = run(capsys, "solve", petals)
+        assert code == 0, err
+        assert f"central curvature: {central}\n" in out
+
+    @pytest.mark.parametrize("petals, value", [("1e-309,1,1", "1e-309"), ("5e-324,5e-324,5e-324", "5e-324")])
+    def test_curvatures_whose_reciprocal_overflows(self, capsys, petals, value):
+        code, out, err = run(capsys, "solve", petals)
+        assert code == 2 and out == ""
+        assert "petal curvatures must lie in [5.56268464626801e-309, 1.7976931348623143e+308]" in err
+        assert f"got {value}" in err
+        assert "radii" not in err
+
     def test_thin_triangle(self, capsys):
         code, out, _ = run(capsys, "solve", "1e6,1,1")
         assert code == 0
@@ -189,6 +203,30 @@ class TestLayoutVerify:
             monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
             code, out, _ = run(capsys, "verify", "-")
             assert code == 0, out
+
+
+class TestCancellationInMVariables:
+    # Laid out correctly (tangency, declared curvatures and the classic
+    # 3-flower relation pass), but _m_tuple forms (k_a + 1)(k_b + 1) - 1 at
+    # normalized curvatures of 1e-16 to 1e-34, which cancels; the general
+    # relation then reads 4.3e-9 and 2.9e-9.  The direct form
+    # k_a k_b + k_a + k_b of ROADMAP item 2 reads 1.3e-16 and 6.5e-17.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: cancellation in _m_tuple")
+    @pytest.mark.parametrize(
+        "petals",
+        [
+            "3.564116399526836e+24,4.3693226751447843e-10,387245002.44024026",
+            "1.2566801142713179e-15,5.714176424548745e-16,37.89001805170064",
+        ],
+    )
+    def test_layout_verify_and_solve(self, capsys, monkeypatch, petals):
+        code, doc_json, _ = run(capsys, "layout", petals)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 0, out
+        code, _, err = run(capsys, "solve", petals)
+        assert code == 0, err
 
 
 class TestVerifyRelative:

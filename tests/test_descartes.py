@@ -566,6 +566,29 @@ class TestCentralCurvatureSolver:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve_report([1.0, 1.0, 1.0], tol)
 
+    def test_power_of_two_scaling_is_exact(self):
+        # The relation bisection runs on the curvatures scaled by a power of
+        # two, so scaling the petals by 2^e scales both roots exactly, up to a
+        # central curvature of 0.97 * 2^1024, where 1.1 k0 would overflow.
+        petals = [3.0, 2.0, 0.5, 1.5]
+        base = solve_report(petals)
+        for e in (-500, -40, 1, 40, 500, 1022):
+            rep = solve_report([math.ldexp(p, e) for p in petals])
+            assert rep.central_curvature == math.ldexp(base.central_curvature, e)
+            assert rep.polished_curvature == math.ldexp(base.polished_curvature, e)
+            assert (rep.residual, rep.residual_scale) == (base.residual, base.residual_scale)
+
+    @pytest.mark.parametrize("k1", [1e308, 1.7e308])
+    def test_curvature_near_float_max(self, k1):
+        rep = solve_report([k1, 1.0, 1.0])
+        assert rep.central_curvature == pytest.approx(k1, rel=1e-12)
+        assert abs(rep.polished_curvature - rep.central_curvature) <= 1e-9 * rep.central_curvature
+
+    @pytest.mark.parametrize("petals", [(1e-309, 1.0, 1.0), (5e-324,) * 3, (1.7976931348623157e308, 1.0, 1.0)])
+    def test_curvature_without_finite_reciprocal_rejected(self, petals):
+        with pytest.raises(ValueError, match=r"petal curvatures must lie in \[5.56268464626801e-309, "):
+            solve_report(petals)
+
     def test_thin_four_flower_passes_quartic(self):
         petals = (1.0, 1.0, 1.0, 1e9)
         k = solve_report(petals).central_curvature

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from itertools import combinations
 
 import pytest
 
+from nflower import descartes
 from nflower.descartes import (
     descartes_lhs_subset,
     descartes_polynomial,
@@ -169,6 +171,9 @@ class TestDescartesPolynomial:
         def forbidden(*args, **kwargs):
             raise AssertionError("descartes_polynomial must not re-canonicalize")
 
+        # Empty the memo, so that every n below is built with the arithmetic
+        # forbidden rather than handed back from an earlier test.
+        descartes._relation_polynomial.cache_clear()
         for name in ("from_dict", "__mul__", "__add__", "__sub__", "__neg__"):
             monkeypatch.setattr(PolynomialZZ, name, forbidden)
         for n in range(3, 13):
@@ -180,3 +185,58 @@ class TestDescartesPolynomial:
             exps = [e for _, e in p.terms]
             assert len(set(exps)) == len(exps)
             assert all(isinstance(c, int) and c != 0 for c, _ in p.terms)
+
+
+class TestMemo:
+    """descartes_polynomial keeps n <= 12 for the process; serialize() keeps
+    its text on the instance."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        descartes._relation_polynomial.cache_clear()
+
+    def test_same_instance_up_to_twelve(self):
+        for n in range(3, 13):
+            assert descartes_polynomial(n) is descartes_polynomial(n)
+        assert descartes_polynomial(13) is not descartes_polynomial(13)
+        assert descartes_polynomial(13) == descartes_polynomial(13)
+
+    def test_only_twelve_and_below_kept(self):
+        for n in range(3, 17):
+            descartes_polynomial(n)
+        assert descartes._relation_polynomial.cache_info().currsize == 10
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_second_serialize_same_text(self, n):
+        p = descartes_polynomial(n)
+        first = p.serialize()
+        assert p.serialize() is first
+        assert first == fstring_serialize(p)
+
+    def test_kept_text_leaves_fields_alone(self):
+        p = descartes_polynomial(5)
+        fresh = PolynomialZZ(p.nvars, p.terms)
+        p.serialize()
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(p)] == ["nvars", "terms"]
+
+    def test_float_n_still_rejected_after_int(self):
+        descartes_polynomial(5)
+        with pytest.raises(TypeError):
+            descartes_polynomial(5.0)
+        with pytest.raises(TypeError):
+            descartes_polynomial("5")
+
+    @pytest.mark.parametrize("n", [2, True, 25])
+    def test_out_of_range_raises_and_keeps_nothing(self, n):
+        with pytest.raises(ValueError):
+            descartes_polynomial(n)
+        assert descartes._relation_polynomial.cache_info().currsize == 0
+
+    def test_kept_polynomial_is_frozen(self):
+        p = descartes_polynomial(6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.terms = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.nvars = 7
+        assert descartes_polynomial(6).nvars == 6
