@@ -22,19 +22,19 @@ from .descartes import (
     spinor_recursion,
     descartes_polynomial,
 )
-from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt12
+from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt
 from .euclid import (
     Circle,
     NumericFailure,
     _checked_petals,
+    _worst_tangency,
     classic_descartes_residual,
     classic_descartes_scale,
     four_flower_poly_residual,
     four_flower_poly_scale,
     layout_flower,
-    tangency_residuals,
 )
-from .hyperbolic import bracket
+from .hyperbolic import _bracket_scale, bracket
 from .svg import flower_svg
 
 
@@ -55,7 +55,7 @@ def _read_input(path: str) -> str:
 
 def _num(x: float) -> float:
     """Report number: rounded to 12 significant digits."""
-    return float(fmt12(x))
+    return float(fmt(x, 12))
 
 
 def cmd_solve(args) -> int:
@@ -73,11 +73,11 @@ def cmd_solve(args) -> int:
             "root_difference": _num(diff),
         }))
     else:
-        print(f"central curvature: {fmt12(rep.central_curvature)}")
-        print(f"relation residual: {fmt12(rep.residual)} (relative {fmt12(rel)})")
+        print(f"central curvature: {fmt(rep.central_curvature, 12)}")
+        print(f"relation residual: {fmt(rep.residual, 12)} (relative {fmt(rel, 12)})")
         print(
-            f"root agreement: geometric {fmt12(rep.central_curvature)}, "
-            f"equation {fmt12(rep.polished_curvature)}, difference {fmt12(diff)}"
+            f"root agreement: geometric {fmt(rep.central_curvature, 12)}, "
+            f"equation {fmt(rep.polished_curvature, 12)}, difference {fmt(diff, 12)}"
         )
     return 0
 
@@ -88,15 +88,9 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
     if doc.circles is not None:
         central = Circle(*doc.circles[0])
         petals = [Circle(*c) for c in doc.circles[1:]]
-        # Relative checks mean the same at every scale.  Neighbours are judged
-        # against R + r_a + r_b, not r_a + r_b: far petals' Cartesian centres
-        # lose digits to their distance from the origin.
-        cen, adj = tangency_residuals(central, petals)
-        R, n = central.r, len(petals)
-        worst = max(abs(x) / (R + p.r) for x, p in zip(cen, petals))
-        checks.append(("central tangency", worst <= doc.tolerance, worst, doc.tolerance))
-        worst = max(abs(x) / (R + petals[j].r + petals[(j + 1) % n].r) for j, x in enumerate(adj))
-        checks.append(("petal adjacency", worst <= doc.tolerance, worst, doc.tolerance))
+        cen, adj = _worst_tangency(central, petals)
+        checks.append(("central tangency", cen <= doc.tolerance, cen, doc.tolerance))
+        checks.append(("petal adjacency", adj <= doc.tolerance, adj, doc.tolerance))
         devs = [abs(central.curvature - doc.central_curvature) / doc.central_curvature]
         devs += [abs(p.curvature - k) / k for p, k in zip(petals, doc.petal_curvatures)]
         worst = max(devs)
@@ -135,7 +129,7 @@ def cmd_verify(args) -> int:
     else:
         for name, passed, value, thr in checks:
             status = "PASS" if passed else "FAIL"
-            print(f"{status} {name} (value {fmt12(value)}, threshold {fmt12(thr)})")
+            print(f"{status} {name} (value {fmt(value, 12)}, threshold {fmt(thr, 12)})")
     return 0 if ok else 1
 
 
@@ -175,7 +169,9 @@ def cmd_spinors(args) -> int:
     m = m_from_normalized([k / k0 for k in petals])
     chain = spinor_recursion(m)
     closing = bracket(chain[0], chain[-1]) + 1.0
-    if not abs(closing) <= args.tol:
+    # Judged against max(1, |z_0||z_{n-1}|), the scale of the bracket's rounding.
+    off = abs(closing)
+    if not (off <= args.tol or off <= args.tol * _bracket_scale(chain[0], chain[-1])):
         raise NumericFailure(f"spinor chain does not close: bracket residual {closing:.3e}")
     rows = [
         (j, s.xi, s.eta, m[j], 2.0 * s.eta * s.eta)
@@ -190,10 +186,10 @@ def cmd_spinors(args) -> int:
             ],
         }))
     else:
-        print(f"central curvature: {fmt12(k0)}")
+        print(f"central curvature: {fmt(k0, 12)}")
         print(f"{'j':>3} {'xi':>18} {'eta':>18} {'m':>18} {'flat_curv':>18}")
         for j, x, e, mv, fc in rows:
-            print(f"{j:>3} {fmt12(x):>18} {fmt12(e):>18} {fmt12(mv):>18} {fmt12(fc):>18}")
+            print(f"{j:>3} {fmt(x, 12):>18} {fmt(e, 12):>18} {fmt(mv, 12):>18} {fmt(fc, 12):>18}")
     return 0
 
 

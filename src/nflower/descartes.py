@@ -44,6 +44,7 @@ from .euclid import (
 from .hyperbolic import (
     DiscHorocycle,
     Spinor,
+    _bracket_scale,
     bracket,
     disc_horocycle_to_uhp,
     horocycle_to_spinor,
@@ -66,9 +67,10 @@ _BRACKET_TOL = 1e-9
 @dataclass(frozen=True)
 class SpinorChain:
     """Spinors of a flat flower: xi_0 = 0, eta_0 > 0, and each consecutive
-    bracket equals -1 (within 1e-9).  eta_j of later spinors may carry either
-    sign or be 0, a horocycle tangent at infinity; the closing bracket is -1
-    exactly when the chain comes from a genuine flower."""
+    bracket equals -1, within 1e-9 of max(1, |z_j||z_{j+1}|) with
+    z = xi + i eta.  eta_j of later spinors may carry either sign or be 0, a
+    horocycle tangent at infinity; the closing bracket is -1 exactly when the
+    chain comes from a genuine flower."""
 
     spinors: tuple[Spinor, ...]
 
@@ -83,7 +85,9 @@ class SpinorChain:
             raise ValueError("eta_0 must be positive")
         for j in range(len(s) - 1):
             b = bracket(s[j], s[j + 1])
-            if abs(b + 1.0) > _BRACKET_TOL:
+            # Its rounding scale |z_j||z_{j+1}| is formed only past the absolute test.
+            d = abs(b + 1.0)
+            if d > _BRACKET_TOL and d > _BRACKET_TOL * _bracket_scale(s[j], s[j + 1]):
                 raise ValueError(f"consecutive bracket {j},{j + 1} is {b}, expected -1")
 
     def __len__(self) -> int:
@@ -132,43 +136,32 @@ def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
 
 def kappa_plus_one(m: Sequence[float], j: int) -> float:
     """Normalized petal curvature plus one, reconstructed from the
-    m-variables as a ratio of products of (m^2 + 1) factors.
-
-    j = 0 returns m_0^2; empty products are 1.
-    """
+    m-variables: m_0^2 times the even-index (m^2 + 1) product over 2..j,
+    against the odd-index one over 1..j, the even product on top for even j
+    (so j = 0 gives m_0^2)."""
     vals = _m_values(m, minimum=1)
     if not 0 <= j < len(vals):
         raise ValueError(f"index {j} out of range for {len(vals)} variables")
-    m0sq = vals[0] * vals[0]
-    if j == 0:
-        return m0sq
+    even = _factor_product(vals, range(2, j + 1, 2), vals[0] * vals[0])
+    odd = _factor_product(vals, range(1, j + 1, 2))
     if j % 2 == 0:
-        num = m0sq
-        for k in range(1, j // 2 + 1):
-            num *= vals[2 * k] * vals[2 * k] + 1.0
-        den = 1.0
-        for k in range(1, j // 2 + 1):
-            den *= vals[2 * k - 1] * vals[2 * k - 1] + 1.0
-        return num / den
-    num = 1.0
-    for k in range(0, (j - 1) // 2 + 1):
-        num *= vals[2 * k + 1] * vals[2 * k + 1] + 1.0
-    den = m0sq
-    for k in range(1, (j - 1) // 2 + 1):
-        den *= vals[2 * k] * vals[2 * k] + 1.0
-    if den == 0.0:
+        return even / odd
+    if even == 0.0:
         raise ValueError("zero denominator: m_0 = 0 in the odd case")
-    return num / den
+    return odd / even
+
+
+def _factor_product(vals: Sequence[float], indices: Sequence[int], start: float = 1.0) -> float:
+    """start * prod_{k in indices}(m_k^2 + 1), multiplied in index order."""
+    for k in indices:
+        start *= vals[k] * vals[k] + 1.0
+    return start
 
 
 def _rhs_product(vals: Sequence[float]) -> float:
     """Product of (m^2 + 1) over odd indices (odd n) or even indices (even n)."""
     n = len(vals)
-    idx = range(1, n - 1, 2) if n % 2 else range(2, n - 1, 2)
-    out = 1.0
-    for k in idx:
-        out *= vals[k] * vals[k] + 1.0
-    return out
+    return _factor_product(vals, range(1, n - 1, 2) if n % 2 else range(2, n - 1, 2))
 
 
 def _subset_sum(vals: Sequence[float]) -> tuple[float, float]:
@@ -245,24 +238,18 @@ def _normalized_relation(kappas: Sequence[float]) -> tuple[float, float]:
 
 
 def descartes_residual_complex(m: Sequence[float]) -> float:
-    """Relation residual via the complex product form
-    (i/2)(prod(m_j - i) - prod(m_j + i)), times m_0^2 for odd n, minus the
-    same rhs product.  The intermediate value must be real; a residual
-    imaginary part beyond rounding noise raises NumericFailure.  Public API
-    and a reference form for the tests; the solver uses the phase form."""
+    """Relation residual via the complex product form: Im prod_{j>=1}(m_j + i),
+    exactly (i/2)(prod(m_j - i) - prod(m_j + i)) for real m_j, times m_0^2
+    for odd n, minus the same rhs product.  Public API and a reference form
+    for the tests; the solver uses the phase form."""
     vals = _m_values(m)
-    p_minus = complex(1.0, 0.0)
     p_plus = complex(1.0, 0.0)
     for v in vals[1:]:
-        p_minus *= complex(v, -1.0)
         p_plus *= complex(v, 1.0)
-    lhs = 0.5j * (p_minus - p_plus)
+    lhs = p_plus.imag
     if len(vals) % 2:
         lhs *= vals[0] * vals[0]
-    scale = max(1.0, abs(p_minus)) * max(1.0, vals[0] * vals[0])
-    if abs(lhs.imag) > 1e-12 * scale:
-        raise NumericFailure(f"imaginary residue {lhs.imag} in complex-form evaluation")
-    return lhs.real - _rhs_product(vals)
+    return lhs - _rhs_product(vals)
 
 
 def _monomial_terms(n: int, coeff: int, lead: int, positions: range, size: int, power: int):
@@ -360,25 +347,15 @@ def eta_closed_form(m: Sequence[float], j: int) -> float:
     vals = _m_values(m)
     if not 0 <= j < len(vals):
         raise ValueError(f"index {j} out of range")
-    if j == 0:
-        return vals[0]
     p_minus = complex(1.0, 0.0)
     for k in range(1, j + 1):
         p_minus *= complex(vals[k], -1.0)
-    s = p_minus + p_minus.conjugate()
-    if abs(s.imag) > 1e-12 * max(1.0, abs(p_minus)):
-        raise NumericFailure(f"imaginary residue {s.imag} in closed-form evaluation")
     if j % 2 == 0:
-        den = 2.0
-        for k in range(1, j // 2 + 1):
-            den *= vals[2 * k - 1] * vals[2 * k - 1] + 1.0
-        return vals[0] * s.real / den
-    den = 2.0 * vals[0]
-    for k in range(1, (j - 1) // 2 + 1):
-        den *= vals[2 * k] * vals[2 * k] + 1.0
+        return vals[0] * (2.0 * p_minus.real) / _factor_product(vals, range(1, j, 2), 2.0)
+    den = _factor_product(vals, range(2, j, 2), 2.0 * vals[0])
     if den == 0.0:
         raise ValueError("zero denominator: m_0 = 0")
-    return s.real / den
+    return 2.0 * p_minus.real / den
 
 
 def xi_from_etas(etas: Sequence[float], j: int) -> float:

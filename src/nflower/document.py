@@ -16,18 +16,12 @@ from .euclid import _checked_petals
 DEFAULT_TOLERANCE = 1e-9
 
 
-def fmt17(x: float) -> str:
+def fmt(x: float, digits: int) -> str:
+    """x at `digits` significant digits."""
     x = float(x)
     if x == 0.0:
         x = 0.0  # avoid "-0"
-    return f"{x:.17g}"
-
-
-def fmt12(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid "-0"
-    return f"{x:.12g}"
+    return "%.*g" % (digits, x)
 
 
 def _number(v, what: str) -> float:
@@ -79,16 +73,16 @@ class FlowerDocument:
     def to_json(self) -> str:
         lines = ["{"]
         lines.append(f'  "n": {self.n},')
-        lines.append(f'  "central_curvature": {fmt17(self.central_curvature)},')
-        petals = ", ".join(fmt17(k) for k in self.petal_curvatures)
+        lines.append(f'  "central_curvature": {fmt(self.central_curvature, 17)},')
+        petals = ", ".join(fmt(k, 17) for k in self.petal_curvatures)
         lines.append(f'  "petal_curvatures": [{petals}],')
         tail = "," if self.circles is not None else ""
-        lines.append(f'  "tolerance": {fmt17(self.tolerance)}{tail}')
+        lines.append(f'  "tolerance": {fmt(self.tolerance, 17)}{tail}')
         if self.circles is not None:
             lines.append('  "circles": [')
             for i, (cx, cy, r) in enumerate(self.circles):
                 sep = "," if i + 1 < len(self.circles) else ""
-                lines.append(f"    [{fmt17(cx)}, {fmt17(cy)}, {fmt17(r)}]{sep}")
+                lines.append(f"    [{fmt(cx, 17)}, {fmt(cy, 17)}, {fmt(r, 17)}]{sep}")
             lines.append("  ]")
         lines.append("}")
         return "\n".join(lines) + "\n"

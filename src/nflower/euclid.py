@@ -19,7 +19,7 @@ from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute tolerance on center-distance residuals for O(1)-scale flowers.
+# Tolerance of validate_flower (relative) and inverted_flower (absolute).
 TANGENCY_TOL = 1e-9
 
 
@@ -66,10 +66,6 @@ class FlowerLayout:
             raise ValueError("a flower needs at least 3 petals")
         if len(self.gap_angles) != len(self.petals):
             raise ValueError("need one gap angle per petal")
-
-    @property
-    def n(self) -> int:
-        return len(self.petals)
 
 
 # Petal curvatures and radii lie in [_SMALLEST, _LARGEST], a range that
@@ -165,7 +161,8 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
     final check decides).  Every operation commutes with scaling the radii
     by a power of two, so such scaling is exact.
     The angle sum at the root must be a full turn to within
-    max(1e-12, 2 pi n eps), since rounding in a sum of n angles grows with n.
+    max(1e-12, 2 pi n eps), since rounding in a sum of n angles grows with n;
+    a root whose reciprocal overflows raises NumericFailure.
     """
     radii = _checked_petals(petal_radii, "petal radii")
     n = len(radii)
@@ -201,6 +198,8 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
     tol = max(1e-12, TWO_PI * n * sys.float_info.epsilon)
     if not abs(residual) <= tol:  # also catches NaN
         raise NumericFailure(f"angle sum residual {residual:.3e} exceeds tol {tol:.3e}")
+    if R < _SMALLEST:
+        raise NumericFailure(f"central radius {R!r} is too small: its curvature 1/R overflows")
     return R
 
 
@@ -237,12 +236,23 @@ def tangency_residuals(central: Circle, petals: Sequence[Circle]) -> tuple[list[
     return cen, adj
 
 
+def _worst_tangency(central: Circle, petals: Sequence[Circle]) -> tuple[float, float]:
+    """Largest central and neighbour tangency residuals, divided by R + r_j
+    and R + r_a + r_b: far petals' Cartesian centres lose digits to their
+    distance from the origin, so r_a + r_b alone is too small a scale."""
+    cen, adj = tangency_residuals(central, petals)
+    R, n = central.r, len(petals)
+    worst_cen = max(abs(x) / (R + p.r) for x, p in zip(cen, petals))
+    worst_adj = max(abs(x) / (R + petals[j].r + petals[(j + 1) % n].r) for j, x in enumerate(adj))
+    return worst_cen, worst_adj
+
+
 def validate_flower(layout: FlowerLayout) -> bool:
-    """Check the tangencies and the gap-angle sum of a layout to TANGENCY_TOL."""
-    cen, adj = tangency_residuals(layout.central, layout.petals)
-    if any(abs(x) > TANGENCY_TOL for x in cen + adj):
-        return False
-    return abs(sum(layout.gap_angles) - TWO_PI) <= TANGENCY_TOL
+    """Check the relative tangency residuals (as `verify` does) and the
+    gap-angle sum of a layout to TANGENCY_TOL."""
+    cen, adj = _worst_tangency(layout.central, layout.petals)
+    gap = abs(sum(layout.gap_angles) - TWO_PI)
+    return cen <= TANGENCY_TOL and adj <= TANGENCY_TOL and gap <= TANGENCY_TOL
 
 
 def invert_in_unit_circle(c: Circle) -> Circle:

@@ -104,6 +104,11 @@ def bracket(a: Spinor, b: Spinor) -> float:
     return a.xi * b.eta - a.eta * b.xi
 
 
+def _bracket_scale(a: Spinor, b: Spinor) -> float:
+    """|z_a||z_b| for z = xi + i eta, the scale of bracket(a, b)'s rounding."""
+    return math.hypot(a.xi, a.eta) * math.hypot(b.xi, b.eta)
+
+
 def spinor_to_horocycle(s: Spinor) -> Horocycle:
     """Horocycle of a spinor: tangency xi/eta and radius 1/(2 eta^2), or the
     horizontal line at height xi^2 when eta = 0."""

@@ -38,35 +38,6 @@ class PolynomialZZ:
     def from_dict(cls, nvars: int, coeffs: Mapping[tuple[int, ...], int]) -> "PolynomialZZ":
         return cls(nvars, _canonical(nvars, coeffs))
 
-    @classmethod
-    def zero(cls, nvars: int) -> "PolynomialZZ":
-        return cls(nvars, ())
-
-    @classmethod
-    def constant(cls, nvars: int, c: int) -> "PolynomialZZ":
-        return cls.from_dict(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], c: int = 1) -> "PolynomialZZ":
-        return cls.from_dict(nvars, {tuple(exps): c})
-
-    def _as_dict(self) -> dict[tuple[int, ...], int]:
-        return {e: c for c, e in self.terms}
-
-    def __add__(self, other: "PolynomialZZ") -> "PolynomialZZ":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        acc = self._as_dict()
-        for c, e in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return PolynomialZZ.from_dict(self.nvars, acc)
-
-    def __neg__(self) -> "PolynomialZZ":
-        return PolynomialZZ(self.nvars, tuple((-c, e) for c, e in self.terms))
-
-    def __sub__(self, other: "PolynomialZZ") -> "PolynomialZZ":
-        return self + (-other)
-
     def __mul__(self, other: "PolynomialZZ") -> "PolynomialZZ":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .document import fmt12
+from .document import fmt
 
 _CENTRAL_STROKE = "#c0392b"
 _PETAL_STROKE = "#2c3e50"
@@ -30,7 +30,7 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
     height = (ymax - ymin) + 2.0 * pad
     stroke = 0.005 * span
 
-    view = f"{fmt12(xmin - pad)} {fmt12(-(ymax + pad))} {fmt12(width)} {fmt12(height)}"
+    view = f"{fmt(xmin - pad, 12)} {fmt(-(ymax + pad), 12)} {fmt(width, 12)} {fmt(height, 12)}"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
@@ -38,8 +38,8 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
     for i, (cx, cy, r) in enumerate(circles):
         color = _CENTRAL_STROKE if i == 0 else _PETAL_STROKE
         lines.append(
-            f'  <circle cx="{fmt12(cx)}" cy="{fmt12(-cy)}" r="{fmt12(r)}" '
-            f'fill="none" stroke="{color}" stroke-width="{fmt12(stroke)}"/>'
+            f'  <circle cx="{fmt(cx, 12)}" cy="{fmt(-cy, 12)}" r="{fmt(r, 12)}" '
+            f'fill="none" stroke="{color}" stroke-width="{fmt(stroke, 12)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -72,6 +72,14 @@ class TestSolve:
         assert f"got {value}" in err
         assert "radii" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "layout"])
+    @pytest.mark.parametrize("petals", ["1.7e308,1.7e308,1.7e308", "1e308,1e308,1e308,1e308"])
+    def test_central_curvature_beyond_float_range(self, capsys, command, petals):
+        # The central radius is below the smallest one with a finite reciprocal.
+        code, out, err = run(capsys, command, petals)
+        assert code == 3 and out == ""
+        assert re.search(r"central radius \S+e-3\d\d is too small: its curvature 1/R overflows", err)
+
     def test_thin_triangle(self, capsys):
         code, out, _ = run(capsys, "solve", "1e6,1,1")
         assert code == 0
@@ -424,6 +432,21 @@ class TestSpinors:
         code, out, err = run(capsys, "spinors", "1,1,1")
         assert code == 3 and out == ""
         assert "does not close" in err
+
+    def test_brackets_judged_at_spinor_scale(self, capsys):
+        # Brackets of large spinors round by about eps |z_a||z_b|: against an
+        # absolute 1e-9, 25 of these flowers exited 2 on consecutive brackets.
+        rng = random.Random(7)
+        codes = []
+        for _ in range(600):
+            n = rng.choice((3, 4, 5, 7, 12, 40))
+            spread = rng.choice((2, 4, 8))
+            petals = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
+            code, _, err = run(capsys, "spinors", ",".join(map(repr, petals)))
+            # Exit 3 is only the relation bisection's known failure.
+            assert code == 0 or (code == 3 and "does not change sign" in err), err
+            codes.append(code)
+        assert codes.count(0) >= 582
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_equal_petals_chain_closes(self, capsys, n):

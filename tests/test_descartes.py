@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -134,6 +135,18 @@ class TestResidualForms:
             c = descartes_residual_complex(m)
             s = descartes_residual_subset(m)
             assert abs(c - s) <= 1e-10 * (1.0 + abs(descartes_lhs_subset(m)))
+
+    def test_complex_form_past_float_range(self):
+        # |prod(m_j + i)| overflows while both of its parts are finite; the
+        # form needs only the imaginary part, so no OverflowError is raised.
+        v, k = 983.5, 103
+        m = [1.0] + [v] * k
+        log_abs = k * math.log(math.hypot(v, 1.0))
+        assert log_abs > math.log(sys.float_info.max)
+        scaled = math.exp(log_abs - 1000 * math.log(2.0)) * math.sin(k * math.atan2(1.0, v))
+        lhs = math.ldexp(scaled, 1000)
+        rhs = (v * v + 1.0) ** (k // 2)
+        assert descartes_residual_complex(m) == pytest.approx(lhs - rhs, rel=1e-10)
 
     def test_scale_bounds_residual(self):
         rng = random.Random(23)

@@ -189,6 +189,17 @@ class TestLayout:
         broken = type(layout)(layout.central, petals, layout.gap_angles)
         assert not validate_flower(broken)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e7, 1e9])
+    def test_validate_is_relative(self, scale):
+        # An absolute 1e-9 rejected correct layouts from radii of about 1e7
+        # and accepted one displaced by 30% at radii of 1e-12.
+        layout = layout_flower([scale, 2.0 * scale, 3.0 * scale, 0.5 * scale])
+        assert validate_flower(layout)
+        moved = layout.petals[1]
+        petals = list(layout.petals)
+        petals[1] = Circle(1.3 * moved.cx, 1.3 * moved.cy, moved.r)
+        assert not validate_flower(type(layout)(layout.central, tuple(petals), layout.gap_angles))
+
     def test_tangency_residuals_zero(self):
         layout = layout_flower([0.5, 1.0, 2.0, 1.0, 0.7])
         cen, adj = tangency_residuals(layout.central, layout.petals)

@@ -20,7 +20,7 @@ GOLDEN_4 = "1 0 1 1 0\n1 0 1 0 1\n-1 0 0 2 0\n1 0 0 1 1\n-2 0 0 0 0\n"
 def product_built_polynomial(n):
     """Reference construction of the relation: the lhs subset sum through
     from_dict, the rhs as the product of (m_k^2 + 1) through __mul__, then
-    lhs - rhs, each step re-canonicalized."""
+    lhs - rhs through dict arithmetic, each step re-canonicalized."""
     coeffs = {}
     base = [0] * n
     if n % 2:
@@ -34,12 +34,15 @@ def product_built_polynomial(n):
             key = tuple(exps)
             coeffs[key] = coeffs.get(key, 0) + sign
     lhs = PolynomialZZ.from_dict(n, coeffs)
-    rhs = PolynomialZZ.constant(n, 1)
+    rhs = PolynomialZZ.from_dict(n, {(0,) * n: 1})
     for k in range(1, n - 1, 2) if n % 2 else range(2, n - 1, 2):
         sq = [0] * n
         sq[k] = 2
         rhs = rhs * PolynomialZZ.from_dict(n, {tuple(sq): 1, (0,) * n: 1})
-    return lhs - rhs
+    diff = {e: c for c, e in lhs.terms}
+    for c, e in rhs.terms:
+        diff[e] = diff.get(e, 0) - c
+    return PolynomialZZ.from_dict(n, diff)
 
 
 class TestCanonicalForm:
@@ -51,16 +54,10 @@ class TestCanonicalForm:
         p = PolynomialZZ.from_dict(3, {(0, 0, 0): 1, (2, 1, 0): 1, (2, 0, 1): 1, (0, 2, 0): 1})
         assert [e for _, e in p.terms] == [(2, 1, 0), (2, 0, 1), (0, 2, 0), (0, 0, 0)]
 
-    def test_add_cancels(self):
-        a = PolynomialZZ.monomial(2, (1, 1), 2)
-        b = PolynomialZZ.monomial(2, (1, 1), -2)
-        assert (a + b) == PolynomialZZ.zero(2)
-
     def test_multiplication(self):
-        x = PolynomialZZ.monomial(2, (1, 0))
-        y = PolynomialZZ.monomial(2, (0, 1))
-        one = PolynomialZZ.constant(2, 1)
-        p = (x + one) * (y + one)
+        x_plus_one = PolynomialZZ.from_dict(2, {(1, 0): 1, (0, 0): 1})
+        y_plus_one = PolynomialZZ.from_dict(2, {(0, 1): 1, (0, 0): 1})
+        p = x_plus_one * y_plus_one
         assert p == PolynomialZZ.from_dict(2, {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1})
 
     def test_bad_exponents_rejected(self):
@@ -108,7 +105,7 @@ class TestSerializeBytes:
     @pytest.mark.parametrize(
         "p, expected",
         [
-            (PolynomialZZ.constant(0, 5), "5 \n"),
+            (PolynomialZZ.from_dict(0, {(): 5}), "5 \n"),
             (PolynomialZZ.from_dict(1, {(3,): -2, (0,): 1}), "-2 3\n1 0\n"),
             (PolynomialZZ.from_dict(2, {(12, 0): 7, (0, 10): -1}), "7 12 0\n-1 0 10\n"),
             (PolynomialZZ.from_dict(3, {(1, 0, 2): 2**64 + 1, (0, 0, 0): -(2**70)}),
@@ -124,7 +121,7 @@ class TestSerializeBytes:
         assert p.serialize() == expected
 
     def test_zero_polynomial(self):
-        assert PolynomialZZ.zero(3).serialize() == ""
+        assert PolynomialZZ(3, ()).serialize() == ""
 
 
 class TestDescartesPolynomial:
@@ -174,7 +171,7 @@ class TestDescartesPolynomial:
         # Empty the memo, so that every n below is built with the arithmetic
         # forbidden rather than handed back from an earlier test.
         descartes._relation_polynomial.cache_clear()
-        for name in ("from_dict", "__mul__", "__add__", "__sub__", "__neg__"):
+        for name in ("from_dict", "__mul__"):
             monkeypatch.setattr(PolynomialZZ, name, forbidden)
         for n in range(3, 13):
             assert descartes_polynomial(n).nvars == n
