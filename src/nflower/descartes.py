@@ -11,7 +11,9 @@ odd n), is |P| sin(theta) with theta = sum_j atan2(1, m_j).  Because
 m_j^2 + 1 = (k_j + 1)(k_{j-1} + 1), the right side over |P| is
 t = 1/sqrt((k_0 + 1)(k_{n-1} + 1)), so the relation divided by |P| is
 sin(theta) - t: O(n), finite for every n, and the one form on the solve
-path (the check of the geometric root, the root bisection and `verify`).
+path (the check of the geometric root, the root bisection and `verify`),
+where one pass over the normalized curvatures forms each m_j and its angle
+and keeps no list of m-variables.
 The complex product and a subset sum of elementary symmetric polynomials
 keep the absolute scale; they are public API and the tests' reference
 forms.  The polynomial itself is expanded over the integers, and the
@@ -112,8 +114,9 @@ def _m_values(m: Sequence[float], minimum: int = 3) -> tuple[float, ...]:
     return vals
 
 
-def _m_tuple(kappas: Sequence[float]) -> tuple[float, ...]:
-    """m-variables of normalized petal curvatures as a plain tuple."""
+def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
+    """m-variables of normalized petal curvatures (central curvature 1);
+    a negative radicand or a non-finite value raises ValueError."""
     ps = [k + 1.0 for k in map(float, kappas)]
     if len(ps) < 3:
         raise ValueError("need at least 3 petal curvatures")
@@ -121,13 +124,7 @@ def _m_tuple(kappas: Sequence[float]) -> tuple[float, ...]:
     for j, rad in enumerate(rads):
         if rad < 0.0:
             raise ValueError(f"negative radicand {rad} at index {j}")
-    return tuple(map(math.sqrt, rads))
-
-
-def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
-    """m-variables of normalized petal curvatures (central curvature 1);
-    a non-finite value raises ValueError."""
-    m = _m_tuple(kappas)
+    m = tuple(map(math.sqrt, rads))
     for v in m:
         if not math.isfinite(v):
             raise ValueError(f"m-variables must be finite and >= 0, got {v}")
@@ -223,8 +220,8 @@ def residual_with_scale(m: Sequence[float]) -> tuple[float, float]:
 
 
 def _phase_form(vals: Sequence[float], t: float) -> tuple[float, float]:
-    """The one relation kernel: (sin(theta) - t, 1 + t) for the m-variables
-    vals and the rhs-over-|P| value t."""
+    """residual_with_scale's kernel: (sin(theta) - t, 1 + t) for the
+    m-variables vals and the rhs-over-|P| value t."""
     theta = 0.0
     for v in vals[1:]:
         theta += math.atan2(1.0, v)
@@ -232,9 +229,24 @@ def _phase_form(vals: Sequence[float], t: float) -> tuple[float, float]:
 
 
 def _normalized_relation(kappas: Sequence[float]) -> tuple[float, float]:
-    """residual_with_scale at normalized curvatures kappas, with t taken
-    from them directly: 1/sqrt((kappa_0 + 1)(kappa_{n-1} + 1)), in [0, 1]."""
-    return _phase_form(_m_tuple(kappas), 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0)))
+    """The relation over |P| at normalized curvatures kappas (3 or more, each
+    >= 0), in one pass: (sin(theta) - t, 1 + t), theta summing
+    atan2(1, m_j) with m_j = sqrt(p_j p_{j-1} - 1), p_j = kappa_j + 1, and
+    t = 1/sqrt(p_0 p_{n-1}) in [0, 1].  It forms the float operations of
+    _phase_form(m_from_normalized(kappas), t) in the same order, so the two
+    agree to the bit wherever the m-variables are finite, but keeps no list
+    of them.  The one kernel of
+    the solve path: the check of the geometric root, each bisection step
+    and `verify`."""
+    it = iter(kappas)
+    first = prev = next(it) + 1.0
+    theta = 0.0
+    for k in it:
+        p = k + 1.0
+        theta += math.atan2(1.0, math.sqrt(p * prev - 1.0))
+        prev = p
+    t = 1.0 / math.sqrt(first * prev)
+    return math.sin(theta) - t, 1.0 + t
 
 
 def descartes_residual_complex(m: Sequence[float]) -> float:
@@ -503,9 +515,10 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     independent bisection of the residual inside a +-10% bracket must land
     on the same root to `tol` relative to it.  Both the check and the
     bisection evaluate the relation divided by |P|, sin(theta) - t with t in
-    [0, 1], on the normalized curvatures (see residual_with_scale), so the
-    value stays finite for any n; a NaN at a bracket end or midpoint would
-    still raise NumericFailure, and +-inf would count by its sign.
+    [0, 1], in one pass over the normalized curvatures (see
+    _normalized_relation), so the value stays finite for any n; a NaN at a
+    bracket end or midpoint would still raise NumericFailure, and +-inf
+    would count by its sign.
     """
     ks = _checked_petals(petals)
     if not 0.0 < tol < math.inf:

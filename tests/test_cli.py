@@ -215,11 +215,14 @@ class TestLayoutVerify:
 
 class TestCancellationInMVariables:
     # Laid out correctly (tangency, declared curvatures and the classic
-    # 3-flower relation pass), but _m_tuple forms (k_a + 1)(k_b + 1) - 1 at
-    # normalized curvatures of 1e-16 to 1e-34, which cancels; the general
+    # 3-flower relation pass), but the relation kernel _normalized_relation
+    # (and m_from_normalized alike) forms the radicand (k_a + 1)(k_b + 1) - 1
+    # at normalized curvatures of 1e-16 to 1e-34, which cancels; the general
     # relation then reads 4.3e-9 and 2.9e-9.  The direct form
     # k_a k_b + k_a + k_b of ROADMAP item 2 reads 1.3e-16 and 6.5e-17.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: cancellation in _m_tuple")
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: cancellation in the radicand (k_a + 1)(k_b + 1) - 1"
+    )
     @pytest.mark.parametrize(
         "petals",
         [

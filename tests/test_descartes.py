@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -46,6 +47,25 @@ def random_m(rng, n, low=0.0, high=10.0):
 
 def random_petals(rng, n):
     return [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+
+
+def sweep_flowers(rng, count, spread):
+    """count flowers with n from 3 to 500 and curvatures 10^U(-w, w),
+    w = U(0, spread); every fourth flower has equal petals."""
+    for i in range(count):
+        n = rng.choice((3, 4, rng.randrange(5, 40), rng.randrange(3, 501)))
+        width = rng.uniform(0.0, spread)
+        if i % 4 == 3:
+            yield [10.0 ** rng.uniform(-width, width)] * n
+        else:
+            yield [10.0 ** rng.uniform(-width, width) for _ in range(n)]
+
+
+def composed_relation(kappas):
+    """The relation over |P| as the m-variable tuple fed to the phase form,
+    the reference for the one-pass kernel."""
+    t = 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0))
+    return descartes_module._phase_form(m_from_normalized(kappas), t)
 
 
 def enumerated_relation(m):
@@ -184,6 +204,12 @@ class TestResidualForms:
     def test_zero_m0_rejected(self):
         with pytest.raises(ValueError, match="m_0 = 0"):
             residual_with_scale((0.0, 1.0, 1.0))
+
+    def test_kernel_is_the_composition_to_the_bit(self):
+        rng = random.Random(37)
+        for kappas in sweep_flowers(rng, 400, 12.0):
+            expected = tuple(map(float.hex, composed_relation(kappas)))
+            assert tuple(map(float.hex, descartes_module._normalized_relation(kappas))) == expected
 
     def test_kernel_finite_at_extreme_curvatures(self):
         values = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308, math.inf)
@@ -496,9 +522,10 @@ class TestCentralCurvatureSolver:
     @pytest.mark.parametrize("res", [math.nan, -math.inf, math.inf])
     def test_non_finite_residual_rejected(self, monkeypatch, res):
         # the scale is finite, so one tolerance test rejects NaN and inf
-        self._patch_kernel(monkeypatch, 0, lambda value: res)
+        calls = self._patch_kernel(monkeypatch, 0, lambda value: res)
         with pytest.raises(NumericFailure, match="fails the relation"):
             solve_report([1.0, 1.0, 1.0])
+        assert len(calls) == 1
 
     def test_equal_petals_below_overflow(self):
         s = math.sin(math.pi / 174)
@@ -509,28 +536,50 @@ class TestCentralCurvatureSolver:
     @staticmethod
     def _patch_kernel(monkeypatch, call, value):
         """Replace the relation's value at the given kernel call (0: the
-        check, 1 and 2: the bracket ends, 3 on: midpoints)."""
-        real = descartes_module._phase_form
+        check, 1 and 2: the bracket ends, 3 on: midpoints).  Returns the
+        list of calls made, for asserting that the patched one was reached."""
+        real = descartes_module._normalized_relation
         calls = []
 
-        def kernel(*args):
-            calls.append(args)
-            res, scale = real(*args)
+        def kernel(kappas):
+            calls.append(kappas)
+            res, scale = real(kappas)
             return (value(res), scale) if len(calls) == call + 1 else (res, scale)
 
-        monkeypatch.setattr(descartes_module, "_phase_form", kernel)
+        monkeypatch.setattr(descartes_module, "_normalized_relation", kernel)
+        return calls
 
     @pytest.mark.parametrize("call", [1, 2, 3, 10])
     def test_nan_in_bisection_raises(self, monkeypatch, call):
-        self._patch_kernel(monkeypatch, call, lambda res: math.nan)
+        calls = self._patch_kernel(monkeypatch, call, lambda res: math.nan)
         with pytest.raises(NumericFailure, match="not finite at n = 3"):
             solve_report([1.0, 1.0, 1.0])
+        assert len(calls) == call + 1
 
     @pytest.mark.parametrize("call", [1, 2])
     def test_infinite_bracket_end_counts_by_sign(self, monkeypatch, call):
         expected = solve_report([1.0, 2.0, 3.0]).polished_curvature
-        self._patch_kernel(monkeypatch, call, lambda res: math.copysign(math.inf, res))
+        calls = self._patch_kernel(monkeypatch, call, lambda res: math.copysign(math.inf, res))
         assert solve_report([1.0, 2.0, 3.0]).polished_curvature == expected
+        assert len(calls) > call
+
+    def test_solve_with_composed_kernel_is_bit_identical(self, monkeypatch):
+        # The 120 flowers of the seed-41 sweep, one of which fails with "does
+        # not change sign", and 400 more at spreads up to 1e+-12.
+        def outcome(petals):
+            try:
+                rep = solve_report(petals)
+            except NumericFailure as exc:
+                return type(exc), str(exc)
+            return tuple(map(float.hex, dataclasses.astuple(rep)))
+
+        flowers = list(sweep_flowers(random.Random(41), 120, 8.0))
+        flowers += sweep_flowers(random.Random(42), 400, 12.0)
+        expected = [outcome(petals) for petals in flowers]
+        monkeypatch.setattr(descartes_module, "_normalized_relation", composed_relation)
+        assert [outcome(petals) for petals in flowers] == expected
+        no_sign_change = "relation residual does not change sign across the +-10% bracket"
+        assert (NumericFailure, no_sign_change) in expected
 
     @pytest.mark.parametrize(
         "petals", [(1e4, 1.0, 1.0), (1e6, 1.0, 1.0), (1e-6, 1.0, 1.0), (1e8, 1e-8, 1.0)]
@@ -544,15 +593,9 @@ class TestCentralCurvatureSolver:
         # Curvature ratios log-uniform up to 1e+-8, n from 3 to 500.  Each
         # flower solves (closed forms where they apply), except where the
         # relation has a second root inside the +-10% bisection bracket.
-        rng = random.Random(41)
         solved = 0
-        for i in range(120):
-            n = rng.choice((3, 4, rng.randrange(5, 40), rng.randrange(3, 501)))
-            width = rng.uniform(0.0, 8.0)
-            if i % 4 == 3:
-                petals = [10.0 ** rng.uniform(-width, width)] * n
-            else:
-                petals = [10.0 ** rng.uniform(-width, width) for _ in range(n)]
+        for petals in sweep_flowers(random.Random(41), 120, 8.0):
+            n = len(petals)
             try:
                 rep = solve_report(petals)
             except NumericFailure as exc:
