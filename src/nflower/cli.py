@@ -34,7 +34,7 @@ from .euclid import (
     four_flower_poly_scale,
     layout_flower,
 )
-from .hyperbolic import _bracket_scale, bracket
+from .hyperbolic import _bracket_is_minus_one, bracket
 from .svg import flower_svg
 
 
@@ -96,7 +96,7 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
         worst = max(devs)
         checks.append(("declared curvatures", worst <= doc.tolerance, worst, doc.tolerance))
 
-    res, scale = _normalized_relation([k / doc.central_curvature for k in doc.petal_curvatures])
+    res, scale = _normalized_relation(doc.petal_curvatures, doc.central_curvature)
     rel = abs(res) / scale
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
@@ -168,10 +168,8 @@ def cmd_spinors(args) -> int:
     k0 = rep.central_curvature
     m = m_from_normalized([k / k0 for k in petals])
     chain = spinor_recursion(m)
-    closing = bracket(chain[0], chain[-1]) + 1.0
-    # Judged against max(1, |z_0||z_{n-1}|), the scale of the bracket's rounding.
-    off = abs(closing)
-    if not (off <= args.tol or off <= args.tol * _bracket_scale(chain[0], chain[-1])):
+    if not _bracket_is_minus_one(chain[0], chain[-1], args.tol):
+        closing = bracket(chain[0], chain[-1]) + 1.0
         raise NumericFailure(f"spinor chain does not close: bracket residual {closing:.3e}")
     rows = [
         (j, s.xi, s.eta, m[j], 2.0 * s.eta * s.eta)
@@ -210,10 +208,12 @@ def _tolerance(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                        help="verification tolerance, positive and finite (default 1e-9)")
-    common.add_argument("--json", action="store_true", help="machine-readable reports")
+    # Each subcommand takes only the options it reads.
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                     help="verification tolerance, positive and finite (default 1e-9)")
+    report = argparse.ArgumentParser(add_help=False, parents=[tol])
+    report.add_argument("--json", action="store_true", help="machine-readable reports")
 
     parser = argparse.ArgumentParser(
         prog="nflower",
@@ -221,28 +221,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("solve", parents=[common], help="central curvature from petal curvatures")
+    p = sub.add_parser("solve", parents=[report], help="central curvature from petal curvatures")
     p.add_argument("petals", help="comma-separated petal curvatures, e.g. 1,1,1")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", parents=[common], help="check a flower document")
+    p = sub.add_parser("verify", parents=[report], help="check a flower document")
     p.add_argument("file", help="flower document path, or - for stdin")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("layout", parents=[common], help="emit a flower document with circles")
+    p = sub.add_parser("layout", parents=[tol], help="emit a flower document with circles")
     p.add_argument("petals", help="comma-separated petal curvatures")
     p.set_defaults(func=cmd_layout)
 
-    p = sub.add_parser("render", parents=[common], help="render a flower document to SVG")
+    p = sub.add_parser("render", help="render a flower document to SVG")
     p.add_argument("file", help="flower document path, or - for stdin")
     p.add_argument("out", help="output SVG path, or - for stdout")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("spinors", parents=[common], help="spinor table of the flat flower")
+    p = sub.add_parser("spinors", parents=[report], help="spinor table of the flat flower")
     p.add_argument("petals", help="comma-separated petal curvatures")
     p.set_defaults(func=cmd_spinors)
 
-    p = sub.add_parser("polynomial", parents=[common], help="integer relation polynomial")
+    p = sub.add_parser("polynomial", help="integer relation polynomial")
     p.add_argument("n", type=int, help=f"number of petals (3..{MAX_POLYNOMIAL_N})")
     p.set_defaults(func=cmd_polynomial)
     return parser

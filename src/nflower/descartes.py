@@ -11,9 +11,11 @@ odd n), is |P| sin(theta) with theta = sum_j atan2(1, m_j).  Because
 m_j^2 + 1 = (k_j + 1)(k_{j-1} + 1), the right side over |P| is
 t = 1/sqrt((k_0 + 1)(k_{n-1} + 1)), so the relation divided by |P| is
 sin(theta) - t: O(n), finite for every n, and the one form on the solve
-path (the check of the geometric root, the root bisection and `verify`),
-where one pass over the normalized curvatures forms each m_j and its angle
-and keeps no list of m-variables.
+path (the check of the geometric root, the root bisection and `verify`).
+The relation is homogeneous, so that path passes the unnormalized petal
+curvatures with a candidate central curvature, and one pass divides each
+petal by it and forms each m_j and its angle, keeping no list of
+normalized curvatures or m-variables.
 The complex product and a subset sum of elementary symmetric polynomials
 keep the absolute scale; they are public API and the tests' reference
 forms.  The polynomial itself is expanded over the integers, and the
@@ -46,7 +48,7 @@ from .euclid import (
 from .hyperbolic import (
     DiscHorocycle,
     Spinor,
-    _bracket_scale,
+    _bracket_is_minus_one,
     bracket,
     disc_horocycle_to_uhp,
     horocycle_to_spinor,
@@ -70,9 +72,10 @@ _BRACKET_TOL = 1e-9
 class SpinorChain:
     """Spinors of a flat flower: xi_0 = 0, eta_0 > 0, and each consecutive
     bracket equals -1, within 1e-9 of max(1, |z_j||z_{j+1}|) with
-    z = xi + i eta.  eta_j of later spinors may carry either sign or be 0, a
-    horocycle tangent at infinity; the closing bracket is -1 exactly when the
-    chain comes from a genuine flower."""
+    z = xi + i eta (a NaN or infinite bracket never does).  eta_j of later
+    spinors may carry either sign or be 0, a horocycle tangent at infinity;
+    the closing bracket is -1 exactly when the chain comes from a genuine
+    flower."""
 
     spinors: tuple[Spinor, ...]
 
@@ -86,10 +89,8 @@ class SpinorChain:
         if s[0].eta <= 0.0:
             raise ValueError("eta_0 must be positive")
         for j in range(len(s) - 1):
-            b = bracket(s[j], s[j + 1])
-            # Its rounding scale |z_j||z_{j+1}| is formed only past the absolute test.
-            d = abs(b + 1.0)
-            if d > _BRACKET_TOL and d > _BRACKET_TOL * _bracket_scale(s[j], s[j + 1]):
+            if not _bracket_is_minus_one(s[j], s[j + 1], _BRACKET_TOL):
+                b = bracket(s[j], s[j + 1])
                 raise ValueError(f"consecutive bracket {j},{j + 1} is {b}, expected -1")
 
     def __len__(self) -> int:
@@ -228,21 +229,23 @@ def _phase_form(vals: Sequence[float], t: float) -> tuple[float, float]:
     return math.sin(theta) - t, 1.0 + t
 
 
-def _normalized_relation(kappas: Sequence[float]) -> tuple[float, float]:
-    """The relation over |P| at normalized curvatures kappas (3 or more, each
-    >= 0), in one pass: (sin(theta) - t, 1 + t), theta summing
-    atan2(1, m_j) with m_j = sqrt(p_j p_{j-1} - 1), p_j = kappa_j + 1, and
-    t = 1/sqrt(p_0 p_{n-1}) in [0, 1].  It forms the float operations of
-    _phase_form(m_from_normalized(kappas), t) in the same order, so the two
-    agree to the bit wherever the m-variables are finite, but keeps no list
-    of them.  The one kernel of
-    the solve path: the check of the geometric root, each bisection step
-    and `verify`."""
-    it = iter(kappas)
-    first = prev = next(it) + 1.0
+def _normalized_relation(petals: Sequence[float], k: float) -> tuple[float, float]:
+    """The relation over |P| at petal curvatures petals (3 or more, each
+    >= 0) and central curvature k, in one pass: (sin(theta) - t, 1 + t),
+    theta summing atan2(1, m_j) with m_j = sqrt(p_j p_{j-1} - 1),
+    p_j = petals[j] / k + 1, and t = 1/sqrt(p_0 p_{n-1}) in [0, 1].  The
+    relation is homogeneous, so dividing by k here is the whole
+    normalization: no caller builds a list of normalized curvatures.  It
+    forms the float operations of _phase_form(m_from_normalized(
+    [p / k for p in petals]), t) in the same order, so the two agree to the
+    bit wherever the m-variables are finite, but keeps no list of them.
+    The one kernel of the solve path: the check of the geometric root, each
+    bisection step and `verify`."""
+    it = iter(petals)
+    first = prev = next(it) / k + 1.0
     theta = 0.0
-    for k in it:
-        p = k + 1.0
+    for q in it:
+        p = q / k + 1.0
         theta += math.atan2(1.0, math.sqrt(p * prev - 1.0))
         prev = p
     t = 1.0 / math.sqrt(first * prev)
@@ -515,33 +518,32 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     independent bisection of the residual inside a +-10% bracket must land
     on the same root to `tol` relative to it.  Both the check and the
     bisection evaluate the relation divided by |P|, sin(theta) - t with t in
-    [0, 1], in one pass over the normalized curvatures (see
-    _normalized_relation), so the value stays finite for any n; a NaN at a
-    bracket end or midpoint would still raise NumericFailure, and +-inf
-    would count by its sign.
+    [0, 1], on one list of scaled petal curvatures, each at its candidate
+    central curvature (see _normalized_relation), so the value stays finite
+    for any n; a NaN at a bracket end or midpoint would still raise
+    NumericFailure, and +-inf would count by its sign.  An exact zero at a
+    bracket end or a midpoint is the root.
     """
     ks = _checked_petals(petals)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
 
-    R = solve_central_radius([1.0 / k for k in ks])
-    k0 = 1.0 / R
-    res, scale = _normalized_relation([k / k0 for k in ks])
+    k0 = 1.0 / solve_central_radius([1.0 / k for k in ks])
+    # For k0 >= 0.5 the check and the bisection run on the curvatures times
+    # down = 2^-e, e = frexp(k0)[1], which puts k0 in [0.5, 1), so 1.1 k0
+    # cannot overflow.  Each quotient p/k stays the same float, or a
+    # subnormal either way, which the m-variables add to 1; dividing by
+    # `down` maps a root back exactly, to inf beyond the float range.
+    down = 2.0 ** -max(math.frexp(k0)[1], 0)
+    scaled = [p * down for p in ks]
+    res, scale = _normalized_relation(scaled, k0 * down)
     if not abs(res) <= tol * scale:
         raise NumericFailure(
             f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"
         )
 
-    # For k0 >= 0.5 the bracket and the bisection run on the curvatures
-    # times down = 2^-e, e = frexp(k0)[1], which puts k0 in [0.5, 1), so
-    # 1.1 k0 cannot overflow.  Each quotient p/k stays the same float, or a
-    # subnormal either way, which the m-variables add to 1; dividing by
-    # `down` maps a root back exactly, to inf beyond the float range.
-    down = 2.0 ** -max(math.frexp(k0)[1], 0)
-    scaled = [p * down for p in ks]
-
     def f(k: float) -> float:
-        fk = _normalized_relation([p / k for p in scaled])[0]
+        fk = _normalized_relation(scaled, k)[0]
         if math.isnan(fk):
             raise NumericFailure(
                 f"relation residual is not finite at n = {len(ks)}: nan at k = {k / down!r}"
@@ -551,26 +553,21 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     lo, hi = 0.9 * (k0 * down), 1.1 * (k0 * down)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        kp = lo
+        hi = lo
     elif fhi == 0.0:
-        kp = hi
+        lo = hi
     elif (flo > 0.0) == (fhi > 0.0):
         raise NumericFailure("relation residual does not change sign across the +-10% bracket")
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        kp = 0.5 * (lo + hi)
-    kp /= down
+    # Halving [0.9 k, 1.1 k] reaches adjacent floats in about 55 steps.
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fm = f(mid)
+        if fm == 0.0:
+            lo = hi = mid
+        elif (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    kp = mid / down
     if abs(kp - k0) > tol * k0:
         raise NumericFailure(f"geometric and relation roots disagree: {k0!r} vs {kp!r}")
     return CentralSolve(k0, kp, res, scale)

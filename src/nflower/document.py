@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .euclid import _checked_petals
+from .euclid import _checked_petals, _check_reciprocal
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -58,6 +58,7 @@ class FlowerDocument:
         object.__setattr__(self, "petal_curvatures", tuple(_checked_petals(self.petal_curvatures)))
         if not (math.isfinite(self.central_curvature) and self.central_curvature > 0.0):
             raise ValueError("central curvature must be positive and finite")
+        _check_reciprocal(self.central_curvature, "central curvature")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be positive and finite")
         if self.circles is not None:

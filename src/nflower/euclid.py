@@ -86,12 +86,19 @@ def _checked_petals(values: Sequence[float], what: str = "petal curvatures") -> 
     if any(not math.isfinite(v) or v <= 0.0 for v in vals):
         raise ValueError(f"{what} must be positive and finite")
     for v in vals:
-        if not _SMALLEST <= v <= _LARGEST:
-            raise ValueError(
-                f"{what} must lie in [{_SMALLEST!r}, {_LARGEST!r}], where the reciprocal "
-                f"is finite, got {v!r}"
-            )
+        _check_reciprocal(v, what)
     return vals
+
+
+def _check_reciprocal(v: float, what: str) -> None:
+    """Raise ValueError naming v unless it lies in [_SMALLEST, _LARGEST],
+    where its reciprocal is finite: the range check of every curvature and
+    radius."""
+    if not _SMALLEST <= v <= _LARGEST:
+        raise ValueError(
+            f"{what} must lie in [{_SMALLEST!r}, {_LARGEST!r}], where the reciprocal "
+            f"is finite, got {v!r}"
+        )
 
 
 def angle_gap(R: float, r_a: float, r_b: float) -> float:

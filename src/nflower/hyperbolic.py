@@ -104,9 +104,13 @@ def bracket(a: Spinor, b: Spinor) -> float:
     return a.xi * b.eta - a.eta * b.xi
 
 
-def _bracket_scale(a: Spinor, b: Spinor) -> float:
-    """|z_a||z_b| for z = xi + i eta, the scale of bracket(a, b)'s rounding."""
-    return math.hypot(a.xi, a.eta) * math.hypot(b.xi, b.eta)
+def _bracket_is_minus_one(a: Spinor, b: Spinor, tol: float) -> bool:
+    """Whether bracket(a, b) is -1 within tol times max(1, |z_a||z_b|) for
+    z = xi + i eta, the scale of the bracket's rounding; False for a NaN or
+    infinite residual, which a product past the float range leaves.  The
+    scale is formed only past the absolute test."""
+    d = abs(bracket(a, b) + 1.0)
+    return d <= tol or (d < INF and d <= tol * math.hypot(a.xi, a.eta) * math.hypot(b.xi, b.eta))
 
 
 def spinor_to_horocycle(s: Spinor) -> Horocycle:

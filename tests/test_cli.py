@@ -216,8 +216,9 @@ class TestLayoutVerify:
 class TestCancellationInMVariables:
     # Laid out correctly (tangency, declared curvatures and the classic
     # 3-flower relation pass), but the relation kernel _normalized_relation
-    # (and m_from_normalized alike) forms the radicand (k_a + 1)(k_b + 1) - 1
-    # at normalized curvatures of 1e-16 to 1e-34, which cancels; the general
+    # forms p_j = k_j / k + 1 and the radicand p_j p_{j-1} - 1, and
+    # m_from_normalized the same radicand (k_a + 1)(k_b + 1) - 1; at
+    # normalized curvatures of 1e-16 to 1e-34 it cancels, and the general
     # relation then reads 4.3e-9 and 2.9e-9.  The direct form
     # k_a k_b + k_a + k_b of ROADMAP item 2 reads 1.3e-16 and 6.5e-17.
     @pytest.mark.xfail(
@@ -292,6 +293,18 @@ class TestVerifyRelative:
         assert "FAIL declared curvatures" in out
 
 
+    @pytest.mark.parametrize("central", ["1e-320", "1.7976931348623157e308"])
+    def test_central_curvature_out_of_range(self, capsys, monkeypatch, central):
+        # A central curvature whose reciprocal overflows, or underflows below
+        # the petals' range, is a parse error naming the value.
+        doc = '{"n": 3, "central_curvature": %s, "petal_curvatures": [1, 1, 1]}' % central
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "verify", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: central curvature must lie in [")
+        assert err.endswith(f"got {float(central)!r}\n")
+
+
 class TestDocumentFieldTypes:
     """verify and render exit 2 on a document whose fields have the wrong
     JSON type or whose circles are not circles."""
@@ -352,6 +365,26 @@ class TestTolerance:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "argument --tol: must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--json", "-", "-"],
+            ["polynomial", "--tol", "1", "3"],
+            ["layout", "--json", "1,1,1"],
+            ["render", "--tol", "1", "-", "-"],
+            ["polynomial", "--json", "3"],
+        ],
+    )
+    def test_options_only_where_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --" in err
+
+    def test_layout_tolerance_in_document(self, capsys):
+        code, out, _ = run(capsys, "layout", "--tol", "1e-6", "1,1,1")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 1e-6
 
     def test_small_positive_tolerance(self, capsys):
         code, out, _ = run(capsys, "solve", "--tol", "1e-6", "1,1,1")

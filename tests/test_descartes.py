@@ -32,6 +32,7 @@ from nflower.euclid import (
     NumericFailure,
     four_flower_poly_residual,
     four_flower_poly_scale,
+    solve_central_radius,
 )
 from nflower.hyperbolic import Spinor, bracket, disc_curvature_of_spinor
 
@@ -61,9 +62,10 @@ def sweep_flowers(rng, count, spread):
             yield [10.0 ** rng.uniform(-width, width) for _ in range(n)]
 
 
-def composed_relation(kappas):
-    """The relation over |P| as the m-variable tuple fed to the phase form,
-    the reference for the one-pass kernel."""
+def composed_relation(petals, k):
+    """The relation over |P| as the m-variable tuple of the normalized
+    curvatures fed to the phase form, the reference for the one-pass kernel."""
+    kappas = [p / k for p in petals]
     t = 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0))
     return descartes_module._phase_form(m_from_normalized(kappas), t)
 
@@ -206,16 +208,21 @@ class TestResidualForms:
             residual_with_scale((0.0, 1.0, 1.0))
 
     def test_kernel_is_the_composition_to_the_bit(self):
+        # At each flower's root k0 and at k0 times a power of two, the
+        # candidates solve_report's check and bisection pass.
         rng = random.Random(37)
-        for kappas in sweep_flowers(rng, 400, 12.0):
-            expected = tuple(map(float.hex, composed_relation(kappas)))
-            assert tuple(map(float.hex, descartes_module._normalized_relation(kappas))) == expected
+        for petals in sweep_flowers(rng, 400, 12.0):
+            k0 = 1.0 / solve_central_radius([1.0 / p for p in petals])
+            for k in (k0, math.ldexp(k0, rng.choice((-40, -3, -1, 1, 7, 40)))):
+                expected = tuple(map(float.hex, composed_relation(petals, k)))
+                got = descartes_module._normalized_relation(petals, k)
+                assert tuple(map(float.hex, got)) == expected, (petals, k)
 
     def test_kernel_finite_at_extreme_curvatures(self):
         values = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308, math.inf)
         for n in (3, 4):
             for kappas in itertools.product(values, repeat=n):
-                res, scale = descartes_module._normalized_relation(kappas)
+                res, scale = descartes_module._normalized_relation(kappas, 1.0)
                 assert math.isfinite(res) and 1.0 <= scale <= 2.0, kappas
 
 
@@ -501,9 +508,9 @@ class TestCentralCurvatureSolver:
         real = descartes_module._normalized_relation
         calls = []
 
-        def shifted(kappas):
+        def shifted(petals, k):
             calls.append(1)
-            return real(kappas if len(calls) == 1 else [1.05 * k for k in kappas])
+            return real(petals, k if len(calls) == 1 else k / 1.05)
 
         monkeypatch.setattr(descartes_module, "_normalized_relation", shifted)
         with pytest.raises(NumericFailure, match="disagree"):
@@ -537,13 +544,14 @@ class TestCentralCurvatureSolver:
     def _patch_kernel(monkeypatch, call, value):
         """Replace the relation's value at the given kernel call (0: the
         check, 1 and 2: the bracket ends, 3 on: midpoints).  Returns the
-        list of calls made, for asserting that the patched one was reached."""
+        list of the (petals, k) arguments of the calls made, for asserting
+        that the patched one was reached."""
         real = descartes_module._normalized_relation
         calls = []
 
-        def kernel(kappas):
-            calls.append(kappas)
-            res, scale = real(kappas)
+        def kernel(petals, k):
+            calls.append((petals, k))
+            res, scale = real(petals, k)
             return (value(res), scale) if len(calls) == call + 1 else (res, scale)
 
         monkeypatch.setattr(descartes_module, "_normalized_relation", kernel)
@@ -562,6 +570,31 @@ class TestCentralCurvatureSolver:
         calls = self._patch_kernel(monkeypatch, call, lambda res: math.copysign(math.inf, res))
         assert solve_report([1.0, 2.0, 3.0]).polished_curvature == expected
         assert len(calls) > call
+
+    @pytest.mark.parametrize("petals, down", [([1.0, 1.0, 1.0], 0.125), ([0.01, 0.02, 0.03], 1.0)])
+    def test_one_scaled_flower_for_every_kernel_call(self, monkeypatch, petals, down):
+        # The check runs at k0 * down on the list the bisection bisects on.
+        calls = self._patch_kernel(monkeypatch, 0, lambda res: res)
+        k0 = solve_report(petals).central_curvature
+        assert calls[0] == ([p * down for p in petals], k0 * down)
+        assert len(calls) >= 4
+        assert all(args[0] is calls[0][0] for args in calls)
+
+    @pytest.mark.parametrize("call, factor", [(1, 0.9), (2, 1.1)])
+    def test_zero_at_bracket_end_is_the_root(self, monkeypatch, call, factor):
+        k0 = solve_report([1.0, 1.0, 1.0]).central_curvature
+        calls = self._patch_kernel(monkeypatch, call, lambda res: 0.0)
+        with pytest.raises(NumericFailure) as exc:
+            solve_report([1.0, 1.0, 1.0])
+        assert str(exc.value) == f"geometric and relation roots disagree: {k0!r} vs {factor * k0!r}"
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("call", [3, 10])
+    def test_zero_at_midpoint_is_the_root(self, monkeypatch, call):
+        calls = self._patch_kernel(monkeypatch, call, lambda res: 0.0)
+        rep = solve_report([1.0, 1.0, 1.0], tol=1e-2)
+        assert len(calls) == call + 1
+        assert rep.polished_curvature == calls[call][1] / 0.125
 
     def test_solve_with_composed_kernel_is_bit_identical(self, monkeypatch):
         # The 120 flowers of the seed-41 sweep, one of which fails with "does
@@ -660,6 +693,11 @@ class TestChainValidation:
     def test_rejects_broken_bracket(self):
         with pytest.raises(ValueError):
             SpinorChain((Spinor(0.0, 1.0), Spinor(1.0, 1.0), Spinor(5.0, 1.0)))
+
+    def test_rejects_overflowed_brackets(self):
+        # The brackets are -inf and nan, and |z_a||z_b| overflows.
+        with pytest.raises(ValueError, match="bracket 0,1 is -inf"):
+            SpinorChain((Spinor(0.0, 1e200), Spinor(1e200, 1e200), Spinor(2e200, 1e200)))
 
 
 class TestFactorStructure:

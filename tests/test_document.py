@@ -68,6 +68,13 @@ class TestFlowerDocument:
         with pytest.raises(ValueError):
             sample_doc(central_curvature=math.inf)
 
+    @pytest.mark.parametrize("central", [1e-320, 5e-324, 1.7976931348623157e308])
+    def test_central_curvature_in_petal_range(self, central):
+        # The petals' rule: the reciprocal must be finite and in range too.
+        with pytest.raises(ValueError, match="central curvature must lie in ") as exc:
+            sample_doc(central_curvature=central)
+        assert str(exc.value).endswith(f"got {central!r}")
+
 
 class TestFieldTypes:
     """Each field must have its JSON type: no string, bool or truncated float

@@ -79,6 +79,25 @@ class TestBracket:
             assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+class TestBracketIsMinusOne:
+    def test_judged_at_spinor_scale(self):
+        assert hyperbolic._bracket_is_minus_one(Spinor(0.0, 1.0), Spinor(1.0, 1.0), 1e-9)
+        assert not hyperbolic._bracket_is_minus_one(Spinor(0.0, 1.0), Spinor(1.1, 1.0), 1e-9)
+        # |z_a||z_b| = 1e20 scales the tolerance, so a residual of 1e-6 passes.
+        big = Spinor(1e-10 * (1.0 + 1e-6), 1e10)
+        assert hyperbolic._bracket_is_minus_one(Spinor(0.0, 1e10), big, 1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Spinor(0.0, 1e200), Spinor(1e200, 1e200)),  # bracket -inf, scale inf
+            (Spinor(1e200, 1e200), Spinor(2e200, 1e200)),  # bracket nan
+        ],
+    )
+    def test_nan_and_infinite_residuals_fail(self, a, b):
+        assert not hyperbolic._bracket_is_minus_one(a, b, 1.0)
+
+
 class TestSpinorHorocycle:
     def test_unit_spinor(self):
         h = spinor_to_horocycle(Spinor(0, 1))
