@@ -24,10 +24,12 @@ from .descartes import (
 )
 from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt
 from .euclid import (
+    TWO_PI,
     Circle,
     NumericFailure,
     _checked_petals,
     _worst_tangency,
+    angle_sum,
     classic_descartes_residual,
     classic_descartes_scale,
     four_flower_poly_residual,
@@ -95,22 +97,42 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
         devs += [abs(p.curvature - k) / k for p, k in zip(petals, doc.petal_curvatures)]
         worst = max(devs)
         checks.append(("declared curvatures", worst <= doc.tolerance, worst, doc.tolerance))
+    else:
+        # Without circles nothing else pins the central curvature: the
+        # relation over |P| also vanishes where k0 is far too small, and
+        # for n = 2 mod 4 where it is far too large.  So the half-angle gap
+        # sum at the declared curvatures must be a full turn.  The radii are
+        # scaled by the power of two, at most 2^-3, that keeps them below
+        # 2^1021, so that R + r_a + r_b stays finite; no radius is below
+        # 2^-1024, so none becomes 0.
+        radii = [1.0 / k for k in (doc.central_curvature, *doc.petal_curvatures)]
+        e = min(0, 1021 - math.frexp(max(radii))[1])
+        R, *petal_radii = [math.ldexp(r, e) for r in radii]
+        rel = abs(angle_sum(R, petal_radii) - TWO_PI) / TWO_PI
+        checks.append(("angle sum", rel <= tol, rel, tol))
 
     res, scale = _normalized_relation(doc.petal_curvatures, doc.central_curvature)
     rel = abs(res) / scale
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
-    # Both relations are homogeneous, so they are evaluated on the curvatures
-    # scaled by the power of two that brings k0 into [0.5, 1): the scaling is
-    # exact, and k**4 does not overflow.
-    e = -math.frexp(doc.central_curvature)[1]
-    ks = [math.ldexp(k, e) for k in (doc.central_curvature, *doc.petal_curvatures)]
-    if doc.n == 3:
-        rel = abs(classic_descartes_residual(*ks)) / classic_descartes_scale(*ks)
-        checks.append(("classic 3-flower relation", rel <= tol, rel, tol))
-    if doc.n == 4:
-        rel = abs(four_flower_poly_residual(*ks)) / four_flower_poly_scale(*ks)
-        checks.append(("4-flower quartic relation", rel <= tol, rel, tol))
+    if doc.n in (3, 4):
+        # Both relations are homogeneous, so they are evaluated on the
+        # curvatures scaled by the power of two that brings the largest into
+        # [0.5, 1): no product overflows, and the scaling is exact wherever
+        # none underflows.  In a 3-flower the largest is k0.
+        ks = (doc.central_curvature, *doc.petal_curvatures)
+        e = -math.frexp(max(ks))[1]
+        ks = [math.ldexp(k, e) for k in ks]
+        if doc.n == 3:
+            name = "classic 3-flower relation"
+            res, scale = classic_descartes_residual(*ks), classic_descartes_scale(*ks)
+        else:
+            name = "4-flower quartic relation"
+            res, scale = four_flower_poly_residual(*ks), four_flower_poly_scale(*ks)
+        # Where one petal dwarfs the other curvatures, every term of the
+        # quartic can underflow; 0/0 is then read as NaN, a FAIL.
+        rel = abs(res) / scale if scale else math.nan
+        checks.append((name, rel <= tol, rel, tol))
     return checks
 
 

@@ -40,18 +40,17 @@ from typing import Sequence
 from .euclid import (
     NumericFailure,
     _checked_petals,
-    invert_in_unit_circle,
-    layout_flower,
+    _gap_angles,
+    _inverted,
     solve_central_radius,
-    Circle,
 )
 from .hyperbolic import (
     DiscHorocycle,
     Spinor,
     _bracket_is_minus_one,
+    _spinor_coordinates,
     bracket,
     disc_horocycle_to_uhp,
-    horocycle_to_spinor,
 )
 from .polynomial import PolynomialZZ
 
@@ -464,39 +463,45 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
     the petals into the disc, move to the upper half-plane, and take the
     eta > 0 spinor of each horocycle, translated so the chain starts at 0.
 
+    It builds only the spinors it returns.  R comes from
+    solve_central_radius and the gap angles from _gap_angles, as in
+    layout_flower, so no layout or placed petal is built.  Per petal, the
+    inverted radius and the spinor coordinates are floats from _inverted
+    and _spinor_coordinates, the helpers of invert_in_unit_circle and
+    horocycle_to_spinor, and the horocycle goes through
+    disc_horocycle_to_uhp.  The result equals the composition of those
+    public functions to the bit.
+
     All eta are positive here, unlike in spinor_recursion.  The chain is cut
     at the widest gap (best numerical conditioning); `start` of the result
     says where.
     """
     ks = _checked_petals(petal_curvatures)
     n = len(ks)
-    layout = layout_flower([1.0 / k for k in ks])
-    R = layout.central.r
-    gaps = layout.gap_angles
+    radii = [1.0 / k for k in ks]
+    R = solve_central_radius(radii)
+    gaps = _gap_angles(R, radii)
     # widest gap precedes the chain start
-    start = (max(range(n), key=lambda j: gaps[j]) + 1) % n
-    order = [(start + i) % n for i in range(n)]
-    gaps_o = [gaps[j] for j in order]
+    start = (max(range(n), key=gaps.__getitem__) + 1) % n
 
     # Tangency angles in (0, 2 pi): rotate so the cut gap straddles angle 0.
-    delta = gaps_o[-1] / 2.0
+    theta = gaps[start - 1] / 2.0
     spinors = []
     disc_curv = []
-    theta = delta
-    for i, j in enumerate(order):
-        r_norm = layout.petals[j].r / R
+    for j in [*range(start, n), *range(start)]:
+        r_norm = radii[j] / R
         d_norm = 1.0 + r_norm
-        petal = Circle(d_norm * math.cos(theta), d_norm * math.sin(theta), r_norm)
-        image = invert_in_unit_circle(petal)
-        disc_curv.append(image.curvature)
-        h = disc_horocycle_to_uhp(DiscHorocycle(theta, image.r))
-        spinors.append(horocycle_to_spinor(h))
-        theta += gaps_o[i]
-
-    p0 = spinors[0].xi / spinors[0].eta
-    shifted = [Spinor(0.0, spinors[0].eta)]
-    shifted += [Spinor(s.xi - p0 * s.eta, s.eta) for s in spinors[1:]]
-    return GeometricChain(SpinorChain(tuple(shifted)), start, 1.0 / R, tuple(disc_curv))
+        rho = _inverted(d_norm * math.cos(theta), d_norm * math.sin(theta), r_norm)[2]
+        h = disc_horocycle_to_uhp(DiscHorocycle(theta, rho))  # checks 0 < rho < 1
+        disc_curv.append(1.0 / rho)
+        xi, eta = _spinor_coordinates(h.tangency, h.radius)
+        if spinors:
+            spinors.append(Spinor(xi - p0 * eta, eta))
+        else:  # translate the chain so that it starts at 0
+            spinors.append(Spinor(0.0, eta))
+            p0 = xi / eta
+        theta += gaps[j]
+    return GeometricChain(SpinorChain(tuple(spinors)), start, 1.0 / R, tuple(disc_curv))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,12 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
     return R
 
 
+def _gap_angles(R: float, radii: Sequence[float]) -> list[float]:
+    """The gap angles of the flower at central radius R: angle_gap between
+    each petal and the next, the last paired with the first."""
+    return [angle_gap(R, r_a, r_b) for r_a, r_b in zip(radii, [*radii[1:], radii[0]])]
+
+
 def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     """Lay out the flower with the central circle at the origin.
 
@@ -218,7 +224,7 @@ def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     radii = [float(r) for r in petal_radii]
     R = solve_central_radius(radii)
     n = len(radii)
-    gaps = [angle_gap(R, radii[j], radii[(j + 1) % n]) for j in range(n)]
+    gaps = _gap_angles(R, radii)
     petals = []
     theta = 0.0
     for j in range(n):
@@ -268,10 +274,16 @@ def invert_in_unit_circle(c: Circle) -> Circle:
     The image circle has center c/(|c|^2 - r^2) and radius r/||c|^2 - r^2|.
     Circles through the origin map to lines and are rejected.
     """
-    d = c.cx * c.cx + c.cy * c.cy - c.r * c.r
-    if abs(d) <= 1e-15 * (c.cx * c.cx + c.cy * c.cy + c.r * c.r):
+    return Circle(*_inverted(c.cx, c.cy, c.r))
+
+
+def _inverted(cx: float, cy: float, r: float) -> tuple[float, float, float]:
+    """invert_in_unit_circle on the floats (cx, cy, r), returning the image's
+    (cx, cy, r) unchecked; raises ValueError for a circle through the origin."""
+    d = cx * cx + cy * cy - r * r
+    if abs(d) <= 1e-15 * (cx * cx + cy * cy + r * r):
         raise ValueError("circle passes through the origin; image is a line")
-    return Circle(c.cx / d, c.cy / d, c.r / abs(d))
+    return cx / d, cy / d, r / abs(d)
 
 
 def inverted_flower(layout: FlowerLayout) -> list[Circle]:

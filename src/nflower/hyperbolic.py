@@ -125,8 +125,14 @@ def horocycle_to_spinor(h: Horocycle) -> Spinor:
     """The eta > 0 spinor of a horocycle tangent at a finite point."""
     if h.radius is None:
         raise ValueError("horocycle at infinity: choose the (xi, 0) representative directly")
-    eta = 1.0 / math.sqrt(2.0 * h.radius)
-    return Spinor(h.tangency * eta, eta)
+    return Spinor(*_spinor_coordinates(h.tangency, h.radius))
+
+
+def _spinor_coordinates(tangency: float, radius: float) -> tuple[float, float]:
+    """(xi, eta) of horocycle_to_spinor for the horocycle tangent at the
+    finite point `tangency` with the given radius, unchecked."""
+    eta = 1.0 / math.sqrt(2.0 * radius)
+    return tangency * eta, eta
 
 
 def uhp_to_disc(z: complex | float) -> complex:

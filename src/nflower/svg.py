@@ -28,7 +28,7 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
     pad = 0.10 * span
     width = (xmax - xmin) + 2.0 * pad
     height = (ymax - ymin) + 2.0 * pad
-    stroke = 0.005 * span
+    stroke = fmt(0.005 * span, 12)
 
     view = f"{fmt(xmin - pad, 12)} {fmt(-(ymax + pad), 12)} {fmt(width, 12)} {fmt(height, 12)}"
     lines = [
@@ -39,7 +39,7 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
         color = _CENTRAL_STROKE if i == 0 else _PETAL_STROKE
         lines.append(
             f'  <circle cx="{fmt(cx, 12)}" cy="{fmt(-cy, 12)}" r="{fmt(r, 12)}" '
-            f'fill="none" stroke="{color}" stroke-width="{fmt(stroke, 12)}"/>'
+            f'fill="none" stroke="{color}" stroke-width="{stroke}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

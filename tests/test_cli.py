@@ -148,6 +148,54 @@ class TestLayoutVerify:
         code, out, _ = run(capsys, "verify", "-")
         assert code == 0
         assert "tangency" not in out  # no circle checks without circles
+        assert out.startswith("PASS angle sum (value ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # k0 far too small: both terms of the relation over |P| shrink
+            # to about 1e-10 (solve of these petals gives 14259199981.6).
+            '{"n": 5, "central_curvature": 1, "petal_curvatures": [1e10, 1e10, 1e10, 1e10, 1e10]}',
+            # k0 far too large at n = 2 mod 4, where m -> 0 is a root of the
+            # relation in the limit (the true k0 is 1).
+            '{"n": 6, "central_curvature": 1e11, "petal_curvatures": [1, 1, 1, 1, 1, 1]}',
+        ],
+        ids=["k0-too-small", "k0-too-large"],
+    )
+    def test_verify_without_circles_checks_the_angle_sum(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "verify", "-")
+        assert code == 1 and err == ""
+        assert out.startswith("FAIL angle sum (value ")
+        assert "PASS descartes relation" in out  # the relation alone is fooled
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 3, "central_curvature": 1e-300, "petal_curvatures": [1e300, 1, 1]}',
+            '{"n": 5, "central_curvature": 1e-10, "petal_curvatures": [1e300, 1e300, 1e300, 1e300, 1e300]}',
+        ],
+        ids=["n3", "n5"],
+    )
+    def test_verify_petal_far_above_k0_fails_without_overflow(self, capsys, monkeypatch, doc):
+        # The classic and quartic checks scale by the largest curvature, and
+        # only for n = 3 and 4, so no ldexp overflows.
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "verify", "-")
+        assert code == 1 and err == ""
+        assert "FAIL angle sum" in out
+        if '"n": 3' in doc:
+            assert "FAIL classic 3-flower relation (value 0.333333333333" in out
+
+    def test_verify_quartic_underflow_fails_as_nan(self, capsys, monkeypatch):
+        # One petal 1e172 times k0 and more above the rest: scaled by it,
+        # every term of the quartic underflows, and 0/0 must not raise.
+        _, doc_json, _ = run(capsys, "layout", "3.9388537713004504e+202,"
+                             "2.5475859149458368e-278,1.2087335320947115e-09,6.801015325901361e-19")
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, err = run(capsys, "verify", "-")
+        assert code == 1 and err == ""
+        assert "FAIL 4-flower quartic relation (value nan, threshold 1e-09)" in out
 
     def test_verify_quartic_on_solved_four_flower(self, capsys, monkeypatch):
         _, doc_json, _ = run(capsys, "layout", "0.5,1,2,1")

@@ -29,12 +29,22 @@ from nflower.descartes import (
 )
 from nflower import descartes as descartes_module
 from nflower.euclid import (
+    Circle,
     NumericFailure,
     four_flower_poly_residual,
     four_flower_poly_scale,
+    invert_in_unit_circle,
+    layout_flower,
     solve_central_radius,
 )
-from nflower.hyperbolic import Spinor, bracket, disc_curvature_of_spinor
+from nflower.hyperbolic import (
+    DiscHorocycle,
+    Spinor,
+    bracket,
+    disc_curvature_of_spinor,
+    disc_horocycle_to_uhp,
+    horocycle_to_spinor,
+)
 
 K3 = 3.0 + 2.0 * math.sqrt(3.0)  # central curvature of three unit petals
 K4 = math.sqrt(2.0) + 1.0  # central curvature of four unit petals
@@ -68,6 +78,34 @@ def composed_relation(petals, k):
     kappas = [p / k for p in petals]
     t = 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0))
     return descartes_module._phase_form(m_from_normalized(kappas), t)
+
+
+def composed_chain(petals):
+    """geometric_spinor_chain as the composition of the public pipeline:
+    layout_flower, each petal rescaled to a unit central circle as a Circle,
+    invert_in_unit_circle, DiscHorocycle, disc_horocycle_to_uhp and
+    horocycle_to_spinor, then the shift that starts the chain at 0.  The
+    reference for the chain, which builds none of these objects but the
+    shifted spinors.  Returns (start, central curvature, disc curvatures,
+    spinors)."""
+    layout = layout_flower([1.0 / k for k in petals])
+    n = len(petals)
+    R, gaps = layout.central.r, layout.gap_angles
+    start = (max(range(n), key=lambda j: gaps[j]) + 1) % n
+    theta = gaps[(start - 1) % n] / 2.0
+    disc, spinors = [], []
+    for i in range(n):
+        j = (start + i) % n
+        r = layout.petals[j].r / R
+        d = 1.0 + r
+        image = invert_in_unit_circle(Circle(d * math.cos(theta), d * math.sin(theta), r))
+        disc.append(image.curvature)
+        spinors.append(horocycle_to_spinor(disc_horocycle_to_uhp(DiscHorocycle(theta, image.r))))
+        theta += gaps[j]
+    p0 = spinors[0].xi / spinors[0].eta
+    shifted = [Spinor(0.0, spinors[0].eta)]
+    shifted += [Spinor(s.xi - p0 * s.eta, s.eta) for s in spinors[1:]]
+    return start, 1.0 / R, disc, shifted
 
 
 def enumerated_relation(m):
@@ -447,6 +485,25 @@ class TestGeometricChain:
         petals = [1.0, 0.4, 2.5]
         g = geometric_spinor_chain(petals)
         assert g.central_curvature == pytest.approx(solve_central_curvature(petals), rel=1e-12)
+
+    def test_chain_is_the_composition_to_the_bit(self):
+        # The chain forms its floats through the helpers of the public
+        # transforms, so it must equal their composition exactly; a changed
+        # float operation in the chain shows here.
+        rng = random.Random(43)
+        for i in range(240):
+            n = rng.randrange(3, 41)
+            width = rng.uniform(0.0, 6.0)
+            if i % 4 == 3:
+                petals = [10.0 ** rng.uniform(-width, width)] * n
+            else:
+                petals = [10.0 ** rng.uniform(-width, width) for _ in range(n)]
+            start, k0, disc, spinors = composed_chain(petals)
+            g = geometric_spinor_chain(petals)
+            assert (g.start, g.central_curvature.hex()) == (start, k0.hex()), petals
+            assert [v.hex() for v in g.disc_curvatures] == [v.hex() for v in disc], petals
+            got = [(s.xi.hex(), s.eta.hex()) for s in g.chain.spinors]
+            assert got == [(s.xi.hex(), s.eta.hex()) for s in spinors], petals
 
 
 class TestCentralCurvatureSolver:

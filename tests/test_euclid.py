@@ -200,6 +200,21 @@ class TestLayout:
         petals[1] = Circle(1.3 * moved.cx, 1.3 * moved.cy, moved.r)
         assert not validate_flower(type(layout)(layout.central, tuple(petals), layout.gap_angles))
 
+    def test_radius_and_gaps_are_the_helpers(self):
+        # geometric_spinor_chain takes R from solve_central_radius and the
+        # gaps from _gap_angles, without a layout; both must be layout's.
+        rng = random.Random(44)
+        for _ in range(200):
+            n = rng.randrange(3, 41)
+            width = rng.uniform(0.0, 6.0)
+            radii = [10.0 ** rng.uniform(-width, width) for _ in range(n)]
+            layout = layout_flower(radii)
+            R = solve_central_radius(radii)
+            assert layout.central.r.hex() == R.hex()
+            gaps = [angle_gap(R, radii[j], radii[(j + 1) % n]).hex() for j in range(n)]
+            assert [g.hex() for g in euclid_module._gap_angles(R, radii)] == gaps
+            assert [g.hex() for g in layout.gap_angles] == gaps
+
     def test_tangency_residuals_zero(self):
         layout = layout_flower([0.5, 1.0, 2.0, 1.0, 0.7])
         cen, adj = tangency_residuals(layout.central, layout.petals)
