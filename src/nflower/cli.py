@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .euclid import (
     Circle,
     NumericFailure,
     _checked_petals,
+    _positive_finite,
     _worst_tangency,
     angle_sum,
     classic_descartes_residual,
@@ -101,14 +101,9 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
         # Without circles nothing else pins the central curvature: the
         # relation over |P| also vanishes where k0 is far too small, and
         # for n = 2 mod 4 where it is far too large.  So the half-angle gap
-        # sum at the declared curvatures must be a full turn.  The radii are
-        # scaled by the power of two, at most 2^-3, that keeps them below
-        # 2^1021, so that R + r_a + r_b stays finite; no radius is below
-        # 2^-1024, so none becomes 0.
-        radii = [1.0 / k for k in (doc.central_curvature, *doc.petal_curvatures)]
-        e = min(0, 1021 - math.frexp(max(radii))[1])
-        R, *petal_radii = [math.ldexp(r, e) for r in radii]
-        rel = abs(angle_sum(R, petal_radii) - TWO_PI) / TWO_PI
+        # sum at the declared curvatures must be a full turn.
+        S = angle_sum(1.0 / doc.central_curvature, [1.0 / k for k in doc.petal_curvatures])
+        rel = abs(S - TWO_PI) / TWO_PI
         checks.append(("angle sum", rel <= tol, rel, tol))
 
     res, scale = _normalized_relation(doc.petal_curvatures, doc.central_curvature)
@@ -116,22 +111,19 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
     if doc.n in (3, 4):
-        # Both relations are homogeneous, so they are evaluated on the
-        # curvatures scaled by the power of two that brings the largest into
-        # [0.5, 1): no product overflows, and the scaling is exact wherever
-        # none underflows.  In a 3-flower the largest is k0.
-        ks = (doc.central_curvature, *doc.petal_curvatures)
-        e = -math.frexp(max(ks))[1]
-        ks = [math.ldexp(k, e) for k in ks]
+        # Both relations are homogeneous polynomials, evaluated exactly on
+        # the curvatures times their common power-of-two denominator; the
+        # int quotient is correctly rounded.
+        ratios = [k.as_integer_ratio() for k in (doc.central_curvature, *doc.petal_curvatures)]
+        D = max(den for _, den in ratios)
+        ks = [num * (D // den) for num, den in ratios]
         if doc.n == 3:
             name = "classic 3-flower relation"
             res, scale = classic_descartes_residual(*ks), classic_descartes_scale(*ks)
         else:
             name = "4-flower quartic relation"
             res, scale = four_flower_poly_residual(*ks), four_flower_poly_scale(*ks)
-        # Where one petal dwarfs the other curvatures, every term of the
-        # quartic can underflow; 0/0 is then read as NaN, a FAIL.
-        rel = abs(res) / scale if scale else math.nan
+        rel = abs(res) / scale
         checks.append((name, rel <= tol, rel, tol))
     return checks
 
@@ -221,12 +213,9 @@ def cmd_polynomial(args) -> int:
 def _tolerance(text: str) -> float:
     """The --tol value: a positive, finite real, or argparse's usage error."""
     try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return tol
+        return _positive_finite(float(text), "--tol")
+    except ValueError:  # not a number, or not positive and finite
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

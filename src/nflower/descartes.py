@@ -42,6 +42,7 @@ from .euclid import (
     _checked_petals,
     _gap_angles,
     _inverted,
+    _positive_finite,
     solve_central_radius,
 )
 from .hyperbolic import (
@@ -530,8 +531,7 @@ def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
     bracket end or a midpoint is the root.
     """
     ks = _checked_petals(petals)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive_finite(tol, "tol")
 
     k0 = 1.0 / solve_central_radius([1.0 / k for k in ks])
     # For k0 >= 0.5 the check and the bisection run on the curvatures times

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .euclid import _checked_petals, _check_reciprocal
+from .euclid import _checked_petals, _check_reciprocal, _positive_finite
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -56,11 +56,9 @@ class FlowerDocument:
         if self.n < 3 or self.n != len(self.petal_curvatures):
             raise ValueError("n must be >= 3 and match the petal curvature count")
         object.__setattr__(self, "petal_curvatures", tuple(_checked_petals(self.petal_curvatures)))
-        if not (math.isfinite(self.central_curvature) and self.central_curvature > 0.0):
-            raise ValueError("central curvature must be positive and finite")
+        _positive_finite(self.central_curvature, "central curvature")
         _check_reciprocal(self.central_curvature, "central curvature")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive and finite")
+        _positive_finite(self.tolerance, "tolerance")
         if self.circles is not None:
             circles = tuple(tuple(float(v) for v in c) for c in self.circles)
             if len(circles) != self.n + 1 or any(len(c) != 3 for c in circles):

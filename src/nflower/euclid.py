@@ -83,11 +83,19 @@ def _checked_petals(values: Sequence[float], what: str = "petal curvatures") -> 
     vals = [float(v) for v in values]
     if len(vals) < 3:
         raise ValueError("a flower needs at least 3 petals")
-    if any(not math.isfinite(v) or v <= 0.0 for v in vals):
-        raise ValueError(f"{what} must be positive and finite")
+    for v in vals:
+        _positive_finite(v, what)
     for v in vals:
         _check_reciprocal(v, what)
     return vals
+
+
+def _positive_finite(v: float, what: str) -> float:
+    """v, after raising ValueError naming `what` unless 0 < v < inf (a NaN
+    fails too): the one positive-and-finite check of inputs."""
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+    return v
 
 
 def _check_reciprocal(v: float, what: str) -> None:
@@ -112,19 +120,31 @@ def angle_gap(R: float, r_a: float, r_b: float) -> float:
     Needle-like Triangle").  The two quotients are formed first, so no
     product of radii underflows to a zero denominator, and the smaller radius
     is divided by R, so no quotient overflows where q is finite (a radius
-    near 1e308 against a much smaller R).
+    near 1e308 against a much smaller R); where R+r_a+r_b overflows, see
+    _far_gap.
     """
     if R <= 0.0 or r_a <= 0.0 or r_b <= 0.0:
         raise ValueError("angle_gap needs positive radii")
     d = R + r_a + r_b
-    q = r_a / R * (r_b / d) if r_a < r_b else r_b / R * (r_a / d)
+    if d == math.inf:
+        q = _far_gap(R, r_a, r_b)[0]
+    else:
+        q = r_a / R * (r_b / d) if r_a < r_b else r_b / R * (r_a / d)
     return 2.0 * math.atan(math.sqrt(q))
 
 
+def _far_gap(R: float, r_a: float, r_b: float) -> tuple[float, float]:
+    """q of angle_gap and R/(R+r_a+r_b) where that sum overflows, so it is
+    formed at a quarter scale: the largest radius scales exactly, and one
+    that loses bits lies far below the sum's last bit."""
+    d = 0.25 * R + 0.25 * r_a + 0.25 * r_b
+    return min(r_a, r_b) / R * (0.25 * max(r_a, r_b) / d), 0.25 * R / d
+
+
 def angle_sum(R: float, petal_radii: Sequence[float]) -> float:
-    """Sum of angle_gap over consecutive petal pairs (cyclic)."""
-    n = len(petal_radii)
-    return sum(angle_gap(R, petal_radii[j], petal_radii[(j + 1) % n]) for j in range(n))
+    """Sum of angle_gap over consecutive petal pairs (cyclic), the last
+    paired with the first; the first value of _angle_sum_and_log_slope."""
+    return _angle_sum_and_log_slope(R, petal_radii)[0]
 
 
 def _angle_sum_and_log_slope(R: float, petal_radii: Sequence[float]) -> tuple[float, float]:
@@ -135,16 +155,22 @@ def _angle_sum_and_log_slope(R: float, petal_radii: Sequence[float]) -> tuple[fl
     its derivative in ln R is -sqrt(q)/(1+q) * (1 + R/(R+r_a+r_b)),
     R times the derivative in R.  Both values are unchanged when R and the
     radii are scaled together, so the slope does not underflow for large R.
+    The gaps are added in order, starting with the last petal and the first,
+    so the sum is the same on every Python version.
     """
-    sqrt, atan = math.sqrt, math.atan
+    sqrt, atan, inf = math.sqrt, math.atan, math.inf
     total = slope = 0.0
     r_a = petal_radii[-1]
     for r_b in petal_radii:
         d = R + r_a + r_b
-        q = r_a / R * (r_b / d) if r_a < r_b else r_b / R * (r_a / d)
+        if d == inf:
+            q, R_d = _far_gap(R, r_a, r_b)
+        else:
+            q = r_a / R * (r_b / d) if r_a < r_b else r_b / R * (r_a / d)
+            R_d = R / d
         sq = sqrt(q)
         total += atan(sq)
-        slope += sq / (1.0 + q) * (1.0 + R / d)
+        slope += sq / (1.0 + q) * (1.0 + R_d)
         r_a = r_b
     return 2.0 * total, -slope
 
@@ -178,7 +204,11 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
     lo, hi = min(radii) * c, max(radii) * c
     if not (lo > 0.0 and hi < math.inf):
         raise NumericFailure("petal radii too extreme to bracket the central radius")
-    R = c * sum(math.sqrt(a * b) for a, b in zip(radii, radii[1:] + radii[:1])) / n
+    # Added left to right: from Python 3.12 on, sum() of floats is compensated.
+    seed = 0.0
+    for a, b in zip(radii, radii[1:] + radii[:1]):
+        seed += math.sqrt(a * b)
+    R = c * seed / n
     if not lo <= R <= hi:  # rounding, or a product of radii under- or overflowed
         R = _geometric_midpoint(lo, hi)
     for _ in range(100):
@@ -219,7 +249,8 @@ def _gap_angles(R: float, radii: Sequence[float]) -> list[float]:
 def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     """Lay out the flower with the central circle at the origin.
 
-    Petal j sits at polar angle sum(gap_angles[:j]) and distance R + r_j.
+    Petal j sits at polar angle sum(gap_angles[:j]) and distance R + r_j;
+    where that distance overflows, NumericFailure names R and r_j.
     """
     radii = [float(r) for r in petal_radii]
     R = solve_central_radius(radii)
@@ -229,6 +260,8 @@ def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     theta = 0.0
     for j in range(n):
         d = R + radii[j]
+        if d == math.inf:
+            raise NumericFailure(f"central radius {R!r} plus petal radius {radii[j]!r} overflows")
         petals.append(Circle(d * math.cos(theta), d * math.sin(theta), radii[j]))
         theta += gaps[j]
     return FlowerLayout(Circle(0.0, 0.0, R), tuple(petals), tuple(gaps))
@@ -253,6 +286,12 @@ def _worst_tangency(central: Circle, petals: Sequence[Circle]) -> tuple[float, f
     """Largest central and neighbour tangency residuals, divided by R + r_j
     and R + r_a + r_b: far petals' Cartesian centres lose digits to their
     distance from the origin, so r_a + r_b alone is too small a scale."""
+    if max(c.r for c in (central, *petals)) > 2.0**1020:
+        # Far centres' differences and radius sums would overflow, and every
+        # residual over its scale is homogeneous, so take a quarter scale.  A
+        # radius that underflows to 0 keeps its value, far below every scale.
+        central, *petals = [Circle(c.cx * 0.25, c.cy * 0.25, c.r * 0.25 or c.r)
+                            for c in (central, *petals)]
     cen, adj = tangency_residuals(central, petals)
     R, n = central.r, len(petals)
     worst_cen = max(abs(x) / (R + p.r) for x, p in zip(cen, petals))
@@ -301,26 +340,26 @@ def inverted_flower(layout: FlowerLayout) -> list[Circle]:
 
 def classic_descartes_residual(k_inf: float, k1: float, k2: float, k3: float) -> float:
     """Residual of the Descartes circle relation for a 3-flower:
-    (k_inf + k1 + k2 + k3)^2 - 2 (k_inf^2 + k1^2 + k2^2 + k3^2)."""
+    (k_inf + k1 + k2 + k3)^2 - 2 (k_inf^2 + k1^2 + k2^2 + k3^2); exact on ints."""
     s = k_inf + k1 + k2 + k3
-    return s * s - 2.0 * (k_inf * k_inf + k1 * k1 + k2 * k2 + k3 * k3)
+    return s * s - 2 * (k_inf * k_inf + k1 * k1 + k2 * k2 + k3 * k3)
 
 
 def classic_descartes_scale(k_inf: float, k1: float, k2: float, k3: float) -> float:
     """Magnitude of the terms of the Descartes relation, for relative checks."""
     s = abs(k_inf) + abs(k1) + abs(k2) + abs(k3)
-    return s * s + 2.0 * (k_inf * k_inf + k1 * k1 + k2 * k2 + k3 * k3)
+    return s * s + 2 * (k_inf * k_inf + k1 * k1 + k2 * k2 + k3 * k3)
 
 
 def four_flower_poly_residual(k_inf: float, k1: float, k2: float, k3: float, k4: float) -> float:
-    """Residual of the degree-4 curvature relation for a 4-flower."""
+    """Residual of the degree-4 curvature relation for a 4-flower; exact on ints."""
     return (
-        16.0 * k_inf**4
-        - 8.0 * k_inf**2 * (k1 * k2 + k2 * k3 + k3 * k4 + k4 * k1 + 2.0 * k1 * k3 + 2.0 * k2 * k4)
+        16 * k_inf**4
+        - 8 * k_inf**2 * (k1 * k2 + k2 * k3 + k3 * k4 + k4 * k1 + 2 * k1 * k3 + 2 * k2 * k4)
         + (k1 * k1 + k3 * k3) * (k2 * k2 + k4 * k4)
-        - 16.0 * k_inf * (k1 * k2 * k3 + k2 * k3 * k4 + k3 * k4 * k1 + k4 * k1 * k2)
-        - 12.0 * k1 * k2 * k3 * k4
-        - 2.0 * (k1 * k2 + k3 * k4) * (k2 * k3 + k4 * k1)
+        - 16 * k_inf * (k1 * k2 * k3 + k2 * k3 * k4 + k3 * k4 * k1 + k4 * k1 * k2)
+        - 12 * k1 * k2 * k3 * k4
+        - 2 * (k1 * k2 + k3 * k4) * (k2 * k3 + k4 * k1)
     )
 
 
@@ -328,10 +367,10 @@ def four_flower_poly_scale(k_inf: float, k1: float, k2: float, k3: float, k4: fl
     """Magnitude of the terms of the 4-flower relation, for relative checks."""
     a1, a2, a3, a4 = abs(k1), abs(k2), abs(k3), abs(k4)
     return (
-        16.0 * k_inf**4
-        + 8.0 * k_inf**2 * (a1 * a2 + a2 * a3 + a3 * a4 + a4 * a1 + 2.0 * a1 * a3 + 2.0 * a2 * a4)
+        16 * k_inf**4
+        + 8 * k_inf**2 * (a1 * a2 + a2 * a3 + a3 * a4 + a4 * a1 + 2 * a1 * a3 + 2 * a2 * a4)
         + (a1 * a1 + a3 * a3) * (a2 * a2 + a4 * a4)
-        + 16.0 * abs(k_inf) * (a1 * a2 * a3 + a2 * a3 * a4 + a3 * a4 * a1 + a4 * a1 * a2)
-        + 12.0 * a1 * a2 * a3 * a4
-        + 2.0 * (a1 * a2 + a3 * a4) * (a2 * a3 + a4 * a1)
+        + 16 * abs(k_inf) * (a1 * a2 * a3 + a2 * a3 * a4 + a3 * a4 * a1 + a4 * a1 * a2)
+        + 12 * a1 * a2 * a3 * a4
+        + 2 * (a1 * a2 + a3 * a4) * (a2 * a3 + a4 * a1)
     )

@@ -187,15 +187,37 @@ class TestLayoutVerify:
         if '"n": 3' in doc:
             assert "FAIL classic 3-flower relation (value 0.333333333333" in out
 
-    def test_verify_quartic_underflow_fails_as_nan(self, capsys, monkeypatch):
-        # One petal 1e172 times k0 and more above the rest: scaled by it,
-        # every term of the quartic underflows, and 0/0 must not raise.
+    def test_verify_quartic_exact_where_float_terms_underflow(self, capsys, monkeypatch):
+        # One petal 1e172 times k0 and more above the rest: in floats scaled
+        # by it every term of the quartic underflows.  Exactly, the term
+        # k1^2 k4^2, about 7e368, outweighs all others at layout's k0 of
+        # 2.2573841032712572e+30, so the value is 1.  That k0 is wrong: the
+        # angle sum's and the quartic's roots are both 6.900017849779795e+96,
+        # and solve refuses these petals.
         _, doc_json, _ = run(capsys, "layout", "3.9388537713004504e+202,"
                              "2.5475859149458368e-278,1.2087335320947115e-09,6.801015325901361e-19")
         monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
         code, out, err = run(capsys, "verify", "-")
         assert code == 1 and err == ""
-        assert "FAIL 4-flower quartic relation (value nan, threshold 1e-09)" in out
+        assert "FAIL 4-flower quartic relation (value 1, threshold 1e-09)" in out
+
+    @pytest.mark.parametrize(
+        "k0, code, row",
+        [
+            ("1.4142135623730951", 0, "PASS 4-flower quartic relation (value 2.86799132426e-17,"),
+            ("2.414213562373094", 1, "FAIL 4-flower quartic relation (value 0.486376739562,"),
+        ],
+        ids=["sqrt2", "2.414"],
+    )
+    def test_verify_exact_quartic_at_1e300_spread(self, capsys, monkeypatch, k0, code, row):
+        # The true k0 of petals 1e-300, 1e-300, 1e-300, 1e300 is sqrt(2);
+        # the angle sum saturates at both values, so only the exact
+        # quartic tells them apart.
+        doc = f'{{"n": 4, "central_curvature": {k0}, "petal_curvatures": [1e-300, 1e-300, 1e-300, 1e300]}}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        got, out, err = run(capsys, "verify", "-")
+        assert (got, err) == (code, "")
+        assert row in out
 
     def test_verify_quartic_on_solved_four_flower(self, capsys, monkeypatch):
         _, doc_json, _ = run(capsys, "layout", "0.5,1,2,1")
@@ -259,6 +281,33 @@ class TestLayoutVerify:
             monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
             code, out, _ = run(capsys, "verify", "-")
             assert code == 0, out
+
+
+class TestRadiiNearTheFloatMaximum:
+    # Petal radii 1e308 and 1.67e308: R + r_a + r_b overflows in the gap
+    # formula, which then works at a quarter scale.
+    @pytest.mark.parametrize("k", [1e-308, 6e-309])
+    def test_solve_and_spinors(self, capsys, k):
+        s = math.sin(math.pi / 3.0)
+        petals = f"{k!r},{k!r},{k!r}"
+        for command in ("solve", "spinors"):
+            code, out, err = run(capsys, command, "--json", petals)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["central_curvature"] == pytest.approx(k * s / (1 - s), rel=1e-11)
+
+    def test_layout_passes_verify(self, capsys, monkeypatch):
+        code, doc_json, _ = run(capsys, "layout", "1e-308,1e-308,1e-308")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 0, out
+        assert "PASS petal adjacency" in out and "nan" not in out
+
+    def test_layout_beyond_the_float_range_is_a_numeric_failure(self, capsys):
+        # R + r_j = 1.9e308: the petal centre itself overflows.
+        code, out, err = run(capsys, "layout", "6e-309,6e-309,6e-309")
+        assert (code, out) == (3, "")
+        assert "central radius 2.57834230632086e+307 plus petal radius" in err
 
 
 class TestCancellationInMVariables:

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -740,6 +742,56 @@ class TestCentralCurvatureSolver:
         k = solve_report(petals).central_curvature
         res = four_flower_poly_residual(k, *petals)
         assert abs(res) <= 1e-9 * four_flower_poly_scale(k, *petals)
+
+    @pytest.mark.parametrize("k", [1e-308, 6e-309])
+    def test_radii_near_the_float_maximum(self, k):
+        # Petal radii of 1e308 and 1.67e308, where R + r_a + r_b overflows.
+        s = math.sin(math.pi / 3.0)
+        rep = solve_report([k] * 3)
+        assert rep.central_curvature == pytest.approx(k * s / (1.0 - s), rel=1e-15)
+        assert rep.polished_curvature == pytest.approx(rep.central_curvature, rel=1e-15)
+
+
+GOLDEN_SOLVES = Path(__file__).with_name("golden_central_solves.json")
+
+
+def golden_flowers():
+    """120 seeded flowers, n = 3..39, with curvatures (0.5 + U(0, 1)) 2^e,
+    e uniform in [-w, w) for w = 3, 13 and 40 (spreads of about 1e+-1,
+    1e+-4 and 1e+-12); formed without libm, so the inputs are the same
+    bits everywhere."""
+    rng = random.Random(7)
+    for w in (3, 13, 40):
+        for _ in range(40):
+            n = rng.randrange(3, 40)
+            yield [math.ldexp(0.5 + rng.random(), rng.randrange(-w, w)) for _ in range(n)]
+
+
+def golden_rows():
+    """float.hex of the four CentralSolve fields of each golden flower that
+    solves, or the name of the exception it raises."""
+    rows = []
+    for petals in golden_flowers():
+        try:
+            rep = solve_report(petals)
+        except NumericFailure:
+            rows.append("NumericFailure")
+            continue
+        rows.append([v.hex() for v in dataclasses.astuple(rep)])
+    return rows
+
+
+class TestSameBitsOnEveryPython:
+    # From Python 3.12 on, sum() of floats is compensated, so a solve that
+    # adds floats with sum() moves between versions.  The expected bits were
+    # recorded with CPython 3.11 on x86-64 Linux (glibc's libm); regenerate
+    # them with `json.dumps(golden_rows())` only for a deliberate change.
+    def test_central_solves_match_the_recorded_bits(self):
+        expected = json.loads(GOLDEN_SOLVES.read_text())
+        got = golden_rows()
+        assert sum(row != "NumericFailure" for row in expected) >= 100
+        mismatched = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
+        assert (len(got), mismatched) == (len(expected), [])
 
 
 class TestChainValidation:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,32 @@ class TestAngleGap:
             with pytest.raises(ValueError):
                 angle_gap(*args)
 
+    @pytest.mark.parametrize(
+        "R, r_a, r_b",
+        [
+            (1.5e307, 1e308, 1e308),
+            (2.6e307, 1.6e308, 1.7e308),
+            (1e308, 1e308, 1e-300),
+            (1.7e308, 1.7e308, 1.7e308),
+            (1e10, 1.7e308, 1e308),
+            (1e308, 1.7e308, 1e160),
+        ],
+    )
+    def test_radius_sum_overflow_matches_the_closed_form(self, R, r_a, r_b):
+        # R + r_a + r_b overflows; the gap is formed at a quarter scale.
+        assert R + r_a + r_b == math.inf
+        q = Fraction(r_a) * Fraction(r_b) / (Fraction(R) * (Fraction(R) + Fraction(r_a) + Fraction(r_b)))
+        exact = 2.0 * math.atan(math.sqrt(float(q)))
+        assert angle_gap(R, r_a, r_b) == pytest.approx(exact, rel=1e-15)
+        assert angle_sum(R, [r_a, r_b, r_a, r_b]) == pytest.approx(4.0 * exact, rel=1e-15)
+
+    def test_angle_sum_is_the_newton_kernel(self):
+        rng = random.Random(19)
+        for _ in range(50):
+            petals = random_petals(rng, rng.randrange(3, 30))
+            R = 10.0 ** rng.uniform(-2.0, 2.0)
+            assert angle_sum(R, petals) == euclid_module._angle_sum_and_log_slope(R, petals)[0]
+
 
 class TestSolveCentralRadius:
     def test_three_unit_petals(self):
@@ -105,18 +132,16 @@ class TestSolveCentralRadius:
         assert 1.0 / R == pytest.approx(expected, rel=1e-12)
 
     def test_sweep_evaluation_counts(self, monkeypatch):
-        # Count every angle-sum evaluation: the Newton kernel and the final check.
+        # Count every angle-sum evaluation: the Newton steps and the final
+        # check, which goes through angle_sum to the same kernel.
         calls = []
+        real = euclid_module._angle_sum_and_log_slope
 
-        def counted(real):
-            def wrapper(*args):
-                calls.append(1)
-                return real(*args)
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
 
-            return wrapper
-
-        for name in ("_angle_sum_and_log_slope", "angle_sum"):
-            monkeypatch.setattr(euclid_module, name, counted(getattr(euclid_module, name)))
+        monkeypatch.setattr(euclid_module, "_angle_sum_and_log_slope", counted)
         # Radius (and so curvature) ratios log-uniform up to 1e+-8, n from 3 to 500.
         rng = random.Random(17)
         for i in range(200):
@@ -127,6 +152,14 @@ class TestSolveCentralRadius:
             R = solve_central_radius(petals)
             assert len(calls) <= 12, (n, width)
             assert abs(angle_sum(R, petals) - TWO_PI) <= 1e-12
+
+    @pytest.mark.parametrize("r", [1e308, 1.6666666666666664e308, 1.7e308])
+    def test_radii_near_the_float_maximum(self, r):
+        # Curvatures from 1e-308 down to 5.9e-309: R + r_a + r_b overflows.
+        s = math.sin(math.pi / 3.0)
+        R = solve_central_radius([r, r, r])
+        assert R == pytest.approx(r * (1.0 - s) / s, rel=1e-15)
+        assert angle_sum(R, [r, r, r]) == pytest.approx(TWO_PI, rel=1e-15)
 
     def test_geometric_midpoint_guards_the_product(self):
         mid = euclid_module._geometric_midpoint
@@ -214,6 +247,19 @@ class TestLayout:
             gaps = [angle_gap(R, radii[j], radii[(j + 1) % n]).hex() for j in range(n)]
             assert [g.hex() for g in euclid_module._gap_angles(R, radii)] == gaps
             assert [g.hex() for g in layout.gap_angles] == gaps
+
+    def test_petal_centre_beyond_the_float_range(self):
+        with pytest.raises(NumericFailure, match="plus petal radius 1.6666666666666664e\\+308 overflows"):
+            layout_flower([1.6666666666666664e308] * 3)
+
+    def test_validate_near_the_float_maximum(self):
+        # Centres 1.15e308 from the origin: their differences overflow
+        # unless the tangency residuals are taken at a quarter scale.
+        layout = layout_flower([1e308] * 3)
+        assert validate_flower(layout)
+        moved = layout.petals[1]
+        petals = (layout.petals[0], Circle(moved.cx, moved.cy, 0.9 * moved.r), layout.petals[2])
+        assert not validate_flower(type(layout)(layout.central, petals, layout.gap_angles))
 
     def test_tangency_residuals_zero(self):
         layout = layout_flower([0.5, 1.0, 2.0, 1.0, 0.7])
