@@ -40,9 +40,9 @@ from typing import Sequence
 from .euclid import (
     NumericFailure,
     _checked_petals,
-    _gap_angles,
     _inverted,
     _positive_finite,
+    _solved_flower,
     solve_central_radius,
 )
 from .hyperbolic import (
@@ -464,9 +464,9 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
     the petals into the disc, move to the upper half-plane, and take the
     eta > 0 spinor of each horocycle, translated so the chain starts at 0.
 
-    It builds only the spinors it returns.  R comes from
-    solve_central_radius and the gap angles from _gap_angles, as in
-    layout_flower, so no layout or placed petal is built.  Per petal, the
+    It builds only the spinors it returns.  R and the gap angles come from
+    euclid._solved_flower, as in layout_flower, so no layout or placed petal
+    is built, and a flower just laid out is not solved again.  Per petal, the
     inverted radius and the spinor coordinates are floats from _inverted
     and _spinor_coordinates, the helpers of invert_in_unit_circle and
     horocycle_to_spinor, and the horocycle goes through
@@ -479,9 +479,8 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
     """
     ks = _checked_petals(petal_curvatures)
     n = len(ks)
-    radii = [1.0 / k for k in ks]
-    R = solve_central_radius(radii)
-    gaps = _gap_angles(R, radii)
+    radii = tuple([1.0 / k for k in ks])
+    R, gaps = _solved_flower(radii)
     # widest gap precedes the chain start
     start = (max(range(n), key=gaps.__getitem__) + 1) % n
 

@@ -17,11 +17,22 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 def fmt(x: float, digits: int) -> str:
-    """x at `digits` significant digits."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid "-0"
-    return "%.*g" % (digits, x)
+    """x at `digits` significant digits; adding 0.0 turns -0 into 0, so no
+    "-0" is printed."""
+    return "%.*g" % (digits, float(x) + 0.0)
+
+
+def _filled(template: str, values) -> str:
+    """template % values, each value passed as fmt passes it: as a float,
+    -0 as 0.  The template's % fields set the digits."""
+    return template % tuple([float(v) + 0.0 for v in values])
+
+
+def _integer(v, what: str) -> int:
+    """A JSON integer; a bool or a float is not one."""
+    if type(v) is not int:
+        raise ValueError(f"{what}: expected a JSON integer, got {v!r}")
+    return v
 
 
 def _number(v, what: str) -> float:
@@ -41,6 +52,32 @@ def _numbers(values, what: str) -> list:
     return values
 
 
+def _checked_circles(circles, count: int) -> tuple[tuple[float, float, float], ...]:
+    """The circles as float triples (cx, cy, r), in one pass, after checking
+    that there are `count` of them, each with a finite centre and a positive,
+    finite radius.  A value that is not a number fails first, then the count
+    and shape, then the values."""
+    inf = math.inf
+    rows = []
+    shaped = finite = True
+    for c in circles:
+        try:
+            cx, cy, r = c
+        except (TypeError, ValueError):  # not a triple; a non-number still fails first
+            rows.append(tuple(map(float, c)))
+            shaped = False
+            continue
+        cx, cy, r = row = (float(cx), float(cy), float(r))
+        # Each comparison is False for a NaN too.
+        finite = finite and abs(cx) < inf and abs(cy) < inf and 0.0 < r < inf
+        rows.append(row)
+    if not shaped or len(rows) != count:
+        raise ValueError("circles must be n+1 triples (cx, cy, r), central first")
+    if not finite:
+        raise ValueError("circle centres must be finite and radii positive and finite")
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class FlowerDocument:
     """A solved flower: curvatures, tolerance, and optionally the realized
@@ -53,38 +90,31 @@ class FlowerDocument:
     circles: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.n < 3 or self.n != len(self.petal_curvatures):
+        n = _integer(self.n, "n")
+        if n < 3 or n != len(self.petal_curvatures):
             raise ValueError("n must be >= 3 and match the petal curvature count")
         object.__setattr__(self, "petal_curvatures", tuple(_checked_petals(self.petal_curvatures)))
         _positive_finite(self.central_curvature, "central curvature")
         _check_reciprocal(self.central_curvature, "central curvature")
         _positive_finite(self.tolerance, "tolerance")
         if self.circles is not None:
-            circles = tuple(tuple(float(v) for v in c) for c in self.circles)
-            if len(circles) != self.n + 1 or any(len(c) != 3 for c in circles):
-                raise ValueError("circles must be n+1 triples (cx, cy, r), central first")
-            for cx, cy, r in circles:
-                # 0 < r < inf is False for a NaN radius too.
-                if not (math.isfinite(cx) and math.isfinite(cy) and 0.0 < r < math.inf):
-                    raise ValueError("circle centres must be finite and radii positive and finite")
-            object.__setattr__(self, "circles", circles)
+            object.__setattr__(self, "circles", _checked_circles(self.circles, n + 1))
 
     def to_json(self) -> str:
-        lines = ["{"]
-        lines.append(f'  "n": {self.n},')
-        lines.append(f'  "central_curvature": {fmt(self.central_curvature, 17)},')
-        petals = ", ".join(fmt(k, 17) for k in self.petal_curvatures)
-        lines.append(f'  "petal_curvatures": [{petals}],')
-        tail = "," if self.circles is not None else ""
-        lines.append(f'  "tolerance": {fmt(self.tolerance, 17)}{tail}')
+        """The document as JSON text: one template, filled once."""
+        n = self.n
+        values = [self.central_curvature, *self.petal_curvatures, self.tolerance]
+        tail = "\n"
         if self.circles is not None:
-            lines.append('  "circles": [')
-            for i, (cx, cy, r) in enumerate(self.circles):
-                sep = "," if i + 1 < len(self.circles) else ""
-                lines.append(f"    [{fmt(cx, 17)}, {fmt(cy, 17)}, {fmt(r, 17)}]{sep}")
-            lines.append("  ]")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            rows = ",\n".join(["    [%.17g, %.17g, %.17g]"] * (n + 1))
+            tail = f',\n  "circles": [\n{rows}\n  ]\n'
+            values += [v for c in self.circles for v in c]
+        petals = ", ".join(["%.17g"] * n)
+        template = (
+            f'{{\n  "n": {n},\n  "central_curvature": %.17g,\n'
+            f'  "petal_curvatures": [{petals}],\n  "tolerance": %.17g{tail}}}\n'
+        )
+        return _filled(template, values)
 
     @classmethod
     def from_json(cls, text: str) -> "FlowerDocument":
@@ -98,8 +128,7 @@ class FlowerDocument:
             n, central, petals = raw["n"], raw["central_curvature"], raw["petal_curvatures"]
         except KeyError as exc:
             raise ValueError(f"bad document fields: missing {exc}") from exc
-        if type(n) is not int:  # a bool is not an int here
-            raise ValueError(f"n: expected a JSON integer, got {n!r}")
+        _integer(n, "n")  # __post_init__'s rule, here so that n is reported first
         circles = raw.get("circles")
         if circles is not None:
             if type(circles) is not list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -240,10 +241,23 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
     return R
 
 
-def _gap_angles(R: float, radii: Sequence[float]) -> list[float]:
+def _gap_angles(R: float, radii: Sequence[float]) -> tuple[float, ...]:
     """The gap angles of the flower at central radius R: angle_gap between
     each petal and the next, the last paired with the first."""
-    return [angle_gap(R, r_a, r_b) for r_a, r_b in zip(radii, [*radii[1:], radii[0]])]
+    return tuple([angle_gap(R, r_a, r_b) for r_a, r_b in zip(radii, [*radii[1:], radii[0]])])
+
+
+@lru_cache(maxsize=1)
+def _solved_flower(radii: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
+    """solve_central_radius(radii) and the gap angles there, for a tuple of
+    float radii: the one geometric solve behind both views of a flower,
+    layout_flower and descartes.geometric_spinor_chain.  The last flower is
+    kept, so laying out a flower and then building its chain solves once.
+    Only radii that solve_central_radius accepted are kept, since a failure
+    raises and is not kept; the values are those of a fresh solve, and the
+    gaps are a tuple that no caller can change."""
+    R = solve_central_radius(radii)
+    return R, _gap_angles(R, radii)
 
 
 def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
@@ -252,19 +266,17 @@ def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     Petal j sits at polar angle sum(gap_angles[:j]) and distance R + r_j;
     where that distance overflows, NumericFailure names R and r_j.
     """
-    radii = [float(r) for r in petal_radii]
-    R = solve_central_radius(radii)
-    n = len(radii)
-    gaps = _gap_angles(R, radii)
+    radii = tuple([float(r) for r in petal_radii])  # checked by the solve
+    R, gaps = _solved_flower(radii)
     petals = []
     theta = 0.0
-    for j in range(n):
-        d = R + radii[j]
+    for j, r in enumerate(radii):
+        d = R + r
         if d == math.inf:
-            raise NumericFailure(f"central radius {R!r} plus petal radius {radii[j]!r} overflows")
-        petals.append(Circle(d * math.cos(theta), d * math.sin(theta), radii[j]))
+            raise NumericFailure(f"central radius {R!r} plus petal radius {r!r} overflows")
+        petals.append(Circle(d * math.cos(theta), d * math.sin(theta), r))
         theta += gaps[j]
-    return FlowerLayout(Circle(0.0, 0.0, R), tuple(petals), tuple(gaps))
+    return FlowerLayout(Circle(0.0, 0.0, R), tuple(petals), gaps)
 
 
 def tangency_residuals(central: Circle, petals: Sequence[Circle]) -> tuple[list[float], list[float]]:

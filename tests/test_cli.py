@@ -303,6 +303,23 @@ class TestRadiiNearTheFloatMaximum:
         assert code == 0, out
         assert "PASS petal adjacency" in out and "nan" not in out
 
+    def test_layout_renders_at_a_power_of_two_scale(self, capsys, monkeypatch):
+        # The padded box, about 5e308 wide, overflows at scale 1.
+        code, doc_json, _ = run(capsys, "layout", "1e-308,1e-308,1e-308")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, svg, err = run(capsys, "render", "-", "-")
+        assert (code, err) == (0, "")
+        assert "inf" not in svg and "nan" not in svg
+        rows = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)"', svg)
+        drawn = [(float(cx), -float(cy), float(r)) for cx, cy, r in rows]
+        circles = FlowerDocument.from_json(doc_json).circles
+        k = round(math.log2(circles[0][2] / drawn[0][2]))
+        assert k > 0
+        assert len(drawn) == len(circles) == 4
+        for want, row in zip(circles, drawn):
+            assert [math.ldexp(v, k) for v in row] == pytest.approx(want, rel=1e-11, abs=1e-11 * 1e308)
+
     def test_layout_beyond_the_float_range_is_a_numeric_failure(self, capsys):
         # R + r_j = 1.9e308: the petal centre itself overflows.
         code, out, err = run(capsys, "layout", "6e-309,6e-309,6e-309")

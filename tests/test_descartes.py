@@ -30,6 +30,7 @@ from nflower.descartes import (
     xi_from_etas,
 )
 from nflower import descartes as descartes_module
+from nflower import euclid as euclid_module
 from nflower.euclid import (
     Circle,
     NumericFailure,
@@ -506,6 +507,73 @@ class TestGeometricChain:
             assert [v.hex() for v in g.disc_curvatures] == [v.hex() for v in disc], petals
             got = [(s.xi.hex(), s.eta.hex()) for s in g.chain.spinors]
             assert got == [(s.xi.hex(), s.eta.hex()) for s in spinors], petals
+
+
+class TestOneSolvePerFlower:
+    """layout_flower and geometric_spinor_chain keep the last flower they
+    solved (euclid._solved_flower); tests/conftest.py empties it before
+    each test."""
+
+    def count_solves(self, monkeypatch, fail_first=False):
+        """Count calls of solve_central_radius under both of its module
+        names; the first raises NumericFailure if fail_first."""
+        real = euclid_module.solve_central_radius
+        calls = []
+
+        def counted(radii):
+            calls.append(tuple(radii))
+            if fail_first and len(calls) == 1:
+                raise NumericFailure("first solve fails")
+            return real(radii)
+
+        monkeypatch.setattr(euclid_module, "solve_central_radius", counted)
+        monkeypatch.setattr(descartes_module, "solve_central_radius", counted)
+        return calls
+
+    def test_layout_then_chain_solves_once(self, monkeypatch):
+        petals = [1.0, 0.4, 2.5, 3.0]
+        calls = self.count_solves(monkeypatch)
+        layout = layout_flower([1.0 / k for k in petals])
+        g = geometric_spinor_chain(petals)
+        assert len(calls) == 1
+        assert g.central_curvature == layout.central.curvature
+
+    def test_chain_then_layout_solves_once(self, monkeypatch):
+        petals = [2.0, 1.0, 0.5]
+        calls = self.count_solves(monkeypatch)
+        geometric_spinor_chain(petals)
+        layout_flower([1.0 / k for k in petals])
+        assert len(calls) == 1
+
+    def test_another_flower_is_solved(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        layout_flower([1.0, 1.0, 1.0])
+        geometric_spinor_chain([1.0, 1.0, 2.0])
+        layout_flower([1.0, 1.0, 1.0])  # one flower is kept, not two
+        assert len(calls) == 3
+
+    def test_a_failed_solve_is_not_kept(self, monkeypatch):
+        calls = self.count_solves(monkeypatch, fail_first=True)
+        radii = [1.0, 2.0, 3.0]
+        with pytest.raises(NumericFailure, match="first solve fails"):
+            layout_flower(radii)
+        assert layout_flower(radii).central.r == solve_central_radius(radii)
+        assert len(calls) == 2  # the failure and the retry
+
+    def test_kept_gaps_cannot_change(self):
+        radii = (1.0, 0.5, 2.0, 1.5)
+        R, gaps = euclid_module._solved_flower(radii)
+        assert type(gaps) is tuple
+        assert layout_flower(list(radii)).gap_angles == gaps
+        assert euclid_module._solved_flower(radii) == (solve_central_radius(radii), gaps)
+
+    def test_solve_report_does_not_use_it(self, monkeypatch):
+        petals = [1.0, 0.4, 2.5]
+        layout_flower([1.0 / k for k in petals])
+        calls = self.count_solves(monkeypatch)
+        solve_report(petals)
+        solve_report(petals)
+        assert len(calls) == 2
 
 
 class TestCentralCurvatureSolver:
