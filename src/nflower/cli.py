@@ -21,7 +21,7 @@ from .descartes import (
     spinor_recursion,
     descartes_polynomial,
 )
-from .document import DEFAULT_TOLERANCE, FlowerDocument, fmt
+from .document import DEFAULT_TOLERANCE, FlowerDocument, _filled
 from .euclid import (
     TWO_PI,
     Circle,
@@ -57,7 +57,7 @@ def _read_input(path: str) -> str:
 
 def _num(x: float) -> float:
     """Report number: rounded to 12 significant digits."""
-    return float(fmt(x, 12))
+    return float(_filled("%.12g", [x]))
 
 
 def cmd_solve(args) -> int:
@@ -75,12 +75,12 @@ def cmd_solve(args) -> int:
             "root_difference": _num(diff),
         }))
     else:
-        print(f"central curvature: {fmt(rep.central_curvature, 12)}")
-        print(f"relation residual: {fmt(rep.residual, 12)} (relative {fmt(rel, 12)})")
-        print(
-            f"root agreement: geometric {fmt(rep.central_curvature, 12)}, "
-            f"equation {fmt(rep.polished_curvature, 12)}, difference {fmt(diff, 12)}"
-        )
+        print(_filled(
+            "central curvature: %.12g\n"
+            "relation residual: %.12g (relative %.12g)\n"
+            "root agreement: geometric %.12g, equation %.12g, difference %.12g",
+            [rep.central_curvature, rep.residual, rel, rep.central_curvature, rep.polished_curvature, diff],
+        ))
     return 0
 
 
@@ -141,9 +141,9 @@ def cmd_verify(args) -> int:
             ],
         }))
     else:
-        for name, passed, value, thr in checks:
-            status = "PASS" if passed else "FAIL"
-            print(f"{status} {name} (value {fmt(value, 12)}, threshold {fmt(thr, 12)})")
+        lines = [f"{'PASS' if passed else 'FAIL'} {name} (value %.12g, threshold %.12g)"
+                 for name, passed, _, _ in checks]
+        print(_filled("\n".join(lines), [v for _, _, value, thr in checks for v in (value, thr)]))
     return 0 if ok else 1
 
 
@@ -198,10 +198,9 @@ def cmd_spinors(args) -> int:
             ],
         }))
     else:
-        print(f"central curvature: {fmt(k0, 12)}")
-        print(f"{'j':>3} {'xi':>18} {'eta':>18} {'m':>18} {'flat_curv':>18}")
-        for j, x, e, mv, fc in rows:
-            print(f"{j:>3} {fmt(x, 12):>18} {fmt(e, 12):>18} {fmt(mv, 12):>18} {fmt(fc, 12):>18}")
+        head = f"central curvature: %.12g\n{'j':>3} {'xi':>18} {'eta':>18} {'m':>18} {'flat_curv':>18}"
+        lines = [head, *[f"{j:>3} %18.12g %18.12g %18.12g %18.12g" for j, *_ in rows]]
+        print(_filled("\n".join(lines), [k0, *[v for _, *values in rows for v in values]]))
     return 0
 
 

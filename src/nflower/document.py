@@ -16,15 +16,10 @@ from .euclid import _checked_petals, _check_reciprocal, _positive_finite
 DEFAULT_TOLERANCE = 1e-9
 
 
-def fmt(x: float, digits: int) -> str:
-    """x at `digits` significant digits; adding 0.0 turns -0 into 0, so no
-    "-0" is printed."""
-    return "%.*g" % (digits, float(x) + 0.0)
-
-
 def _filled(template: str, values) -> str:
-    """template % values, each value passed as fmt passes it: as a float,
-    -0 as 0.  The template's % fields set the digits."""
+    """template % values, each value passed as a float; adding 0.0 turns -0
+    into 0, so no "-0" is printed.  The template's % fields set the digits:
+    the one number formatter of documents, SVGs and reports."""
     return template % tuple([float(v) + 0.0 for v in values])
 
 

@@ -38,10 +38,9 @@ class Circle:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.r)):
-            raise ValueError("circle parameters must be finite")
-        if self.r <= 0.0:
-            raise ValueError(f"circle radius must be positive, got {self.r}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError("circle centre must be finite")
+        _positive_finite(self.r, "circle radius")
 
     @property
     def curvature(self) -> float:
@@ -124,8 +123,9 @@ def angle_gap(R: float, r_a: float, r_b: float) -> float:
     near 1e308 against a much smaller R); where R+r_a+r_b overflows, see
     _far_gap.
     """
-    if R <= 0.0 or r_a <= 0.0 or r_b <= 0.0:
-        raise ValueError("angle_gap needs positive radii")
+    _positive_finite(R, "central radius")
+    _positive_finite(r_a, "petal radius")
+    _positive_finite(r_b, "petal radius")
     d = R + r_a + r_b
     if d == math.inf:
         q = _far_gap(R, r_a, r_b)[0]

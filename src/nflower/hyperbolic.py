@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .euclid import _positive_finite
+
 INF = math.inf
 
 _DET_TOL = 1e-12
@@ -61,13 +63,11 @@ class Horocycle:
         if math.isinf(self.tangency):
             if self.height is None or self.radius is not None:
                 raise ValueError("horocycle at infinity takes a height, not a radius")
-            if not (math.isfinite(self.height) and self.height > 0.0):
-                raise ValueError("height must be positive and finite")
+            _positive_finite(self.height, "height")
         else:
             if self.radius is None or self.height is not None:
                 raise ValueError("horocycle at a finite point takes a radius, not a height")
-            if not (math.isfinite(self.radius) and self.radius > 0.0):
-                raise ValueError("radius must be positive and finite")
+            _positive_finite(self.radius, "radius")
 
     @property
     def curvature(self) -> float:

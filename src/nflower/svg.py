@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .document import _checked_circles, _filled, fmt
+from .document import _checked_circles, _filled
 
 _CENTRAL_STROKE = "#c0392b"
 _PETAL_STROKE = "#2c3e50"
@@ -46,7 +46,8 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
     first; y-axis points up.  Each centre must be finite and each radius
     positive and finite (ValueError otherwise).  Where the padded box would
     overflow, everything is drawn at the power-of-two scale that brings the
-    largest |centre| + r below 2^1021, so the picture is the same."""
+    largest |centre| + r below 2^1021, so the picture is the same (a radius
+    that this scale would round to 0 keeps its value)."""
     if not circles:
         raise ValueError("nothing to render")
     circles = _checked_circles(circles, len(circles))
@@ -56,8 +57,8 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
         # Formed at a quarter scale, the largest |centre| + r is finite.
         far = max(0.25 * max(abs(cx), abs(cy)) + 0.25 * r for cx, cy, r in circles)
         scale = 2.0 ** (1019 - math.frexp(far)[1])
-        circles = [(cx * scale, cy * scale, r * scale) for cx, cy, r in circles]
+        circles = [(cx * scale, cy * scale, r * scale or r) for cx, cy, r in circles]
         box, span = _padded_box(circles)
-    stroke = fmt(0.005 * span, 12)
+    stroke = _filled("%.12g", [0.005 * span])
     rows = _ROW.format(_CENTRAL_STROKE, stroke) + _ROW.format(_PETAL_STROKE, stroke) * (len(circles) - 1)
     return _filled(_HEAD + rows + "</svg>\n", [*box, *[v for cx, cy, r in circles for v in (cx, -cy, r)]])

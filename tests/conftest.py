@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from nflower import euclid
+from nflower import descartes, euclid
 
 
 def pytest_configure(config):
@@ -15,8 +15,9 @@ def pytest_configure(config):
 
 
 @pytest.fixture(autouse=True)
-def _no_kept_flower():
+def _empty_memos():
     # layout_flower and geometric_spinor_chain keep the last flower they
-    # solved; each test starts without one, so none depends on the flower of
-    # an earlier test.
+    # solved, and descartes_polynomial keeps n <= 12; each test starts with
+    # both memos empty, so none depends on what an earlier test built.
     euclid._solved_flower.cache_clear()
+    descartes._relation_polynomial.cache_clear()

@@ -326,6 +326,12 @@ class TestRadiiNearTheFloatMaximum:
         assert (code, out) == (3, "")
         assert "central radius 2.57834230632086e+307 plus petal radius" in err
 
+    def test_solve_beyond_the_bracket_is_a_numeric_failure(self, capsys):
+        # Seven radii of 1.7e308: the bracket's upper end overflows.
+        code, out, err = run(capsys, "solve", ",".join(["5.9e-309"] * 7))
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: petal radii too extreme to bracket the central radius\n"
+
 
 class TestCancellationInMVariables:
     # Laid out correctly (tangency, declared curvatures and the classic
@@ -458,6 +464,60 @@ class TestDocumentFieldTypes:
         code, out, err = run(capsys, "render", "-", "-")
         assert (code, out) == (2, "")
         assert "error: circle" in err
+
+    @pytest.mark.parametrize("command", [["verify", "-"], ["render", "-", "-"]])
+    def test_circle_not_a_triple(self, capsys, monkeypatch, command):
+        _, doc_json, _ = run(capsys, "layout", "1,1,1")
+        raw = json.loads(doc_json)
+        raw["circles"][1] = [1, 0]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(raw)))
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, "")
+        assert err == "error: circles must be n+1 triples (cx, cy, r), central first\n"
+
+
+class TestReportsPrintNoMinusZero:
+    """Every report number goes through one formatter, which prints -0 as 0."""
+
+    def test_solve(self, capsys, monkeypatch):
+        from nflower.descartes import CentralSolve
+
+        rep = CentralSolve(6.5, 6.5, -0.0, 1.0)
+        monkeypatch.setattr("nflower.cli.solve_report", lambda petals, tol: rep)
+        code, out, _ = run(capsys, "solve", "1,1,1")
+        assert (code, out) == (0, (
+            "central curvature: 6.5\n"
+            "relation residual: 0 (relative 0)\n"
+            "root agreement: geometric 6.5, equation 6.5, difference 0\n"
+        ))
+        code, out, _ = run(capsys, "solve", "--json", "1,1,1")
+        assert '"residual": 0.0,' in out
+
+    def test_verify(self, capsys, monkeypatch):
+        def checks(doc, tol):
+            return [("descartes relation", True, -0.0, tol)]
+
+        monkeypatch.setattr("nflower.cli._verify_checks", checks)
+        _, doc_json, _ = run(capsys, "layout", "1,1,1")
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc_json))
+        code, out, _ = run(capsys, "verify", "-")
+        assert (code, out) == (0, "PASS descartes relation (value 0, threshold 1e-09)\n")
+
+    def test_spinors(self, capsys, monkeypatch):
+        from nflower.descartes import SpinorChain, spinor_recursion
+        from nflower.hyperbolic import Spinor
+
+        def chain_from_minus_zero(m):
+            first, *rest = spinor_recursion(m).spinors
+            return SpinorChain((Spinor(-0.0, first.eta), *rest))
+
+        monkeypatch.setattr("nflower.cli.spinor_recursion", chain_from_minus_zero)
+        code, out, _ = run(capsys, "spinors", "1,1,1")
+        assert code == 0
+        row = out.splitlines()[2]
+        assert row == "  0" + "0".rjust(19) + "      1.07456993182      1.07456993182      2.30940107676"
+        code, out, _ = run(capsys, "spinors", "--json", "1,1,1")
+        assert '"xi": 0.0,' in out
 
 
 class TestTolerance:

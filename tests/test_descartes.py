@@ -142,6 +142,17 @@ class TestMFromNormalized:
         with pytest.raises(ValueError):
             m_from_normalized([-0.9, -0.9, -0.9])
 
+    @pytest.mark.parametrize(
+        "kappas, message",
+        [
+            ([1.0, 1.0], "need at least 3 petal curvatures"),
+            ([1.0, math.inf, 1.0], "m-variables must be finite"),
+        ],
+    )
+    def test_typed_failures(self, kappas, message):
+        with pytest.raises(ValueError, match=message):
+            m_from_normalized(kappas)
+
 
 class TestKappaPlusOne:
     def test_odd_index(self):
@@ -168,6 +179,11 @@ class TestKappaPlusOne:
     def test_zero_m0_odd_case(self):
         with pytest.raises(ValueError):
             kappa_plus_one((0.0, 1.0, 1.0), 1)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_index_out_of_range(self, j):
+        with pytest.raises(ValueError, match=f"index {j} out of range for 3 variables"):
+            kappa_plus_one(FORD_M, j)
 
 
 class TestResidualForms:
@@ -350,6 +366,11 @@ class TestEtaClosedForm:
         with pytest.raises(ValueError):
             eta_closed_form((0.0, 1.0, 2.0), 1)
 
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_index_out_of_range(self, j):
+        with pytest.raises(ValueError, match=f"index {j} out of range"):
+            eta_closed_form(FORD_M, j)
+
 
 class TestXiFromEtas:
     def test_ford_values(self):
@@ -373,6 +394,11 @@ class TestXiFromEtas:
     def test_zero_eta_rejected(self):
         with pytest.raises(ValueError):
             xi_from_etas((1.0, 0.0, 1.0), 2)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_index_out_of_range(self, j):
+        with pytest.raises(ValueError, match=f"index {j} out of range"):
+            xi_from_etas((1.0, 2.0, 1.0), j)
 
 
 class TestClosureResiduals:
@@ -870,6 +896,17 @@ class TestChainValidation:
     def test_rejects_broken_bracket(self):
         with pytest.raises(ValueError):
             SpinorChain((Spinor(0.0, 1.0), Spinor(1.0, 1.0), Spinor(5.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "spinors, message",
+        [
+            ((Spinor(0.0, 1.0), Spinor(1.0, 1.0)), "a chain needs at least 3 spinors"),
+            ((Spinor(0.0, -1.0), Spinor(-1.0, -1.0), Spinor(-2.0, -1.0)), "eta_0 must be positive"),
+        ],
+    )
+    def test_typed_failures(self, spinors, message):
+        with pytest.raises(ValueError, match=message):
+            SpinorChain(spinors)
 
     def test_rejects_overflowed_brackets(self):
         # The brackets are -inf and nan, and |z_a||z_b| overflows.

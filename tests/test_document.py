@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nflower.document import FlowerDocument
+from nflower.document import FlowerDocument, _filled
 from nflower.euclid import NumericFailure, layout_flower
 from nflower.svg import flower_svg
 from test_descartes import golden_flowers
@@ -59,6 +59,13 @@ class TestFlowerDocument:
         with pytest.raises(ValueError):
             sample_doc(circles=((0.0, 0.0, 1.0),))
 
+    @pytest.mark.parametrize("bad", [(1.0, 0.0), (1.0, 0.0, 1.0, 0.0)])
+    def test_circle_not_a_triple(self, bad):
+        circles = ((0.0, 0.0, 1.0), bad, (0.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+        message = "circles must be n+1 triples (cx, cy, r), central first"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_doc(circles=circles)
+
     def test_petal_count_mismatch(self):
         with pytest.raises(ValueError):
             FlowerDocument(n=4, central_curvature=1.0, petal_curvatures=(1.0, 1.0, 1.0))
@@ -81,6 +88,13 @@ class TestFlowerDocument:
         with pytest.raises(ValueError, match="central curvature must lie in ") as exc:
             sample_doc(central_curvature=central)
         assert str(exc.value).endswith(f"got {central!r}")
+
+
+class TestFilled:
+    def test_minus_zero_prints_as_zero(self):
+        # The one number formatter: every report, document and SVG number
+        # goes through it, so none prints "-0".
+        assert _filled("%.12g %18.12g %.17g", [-0.0, -0.0, -0.0]) == "0 " + "0".rjust(18) + " 0"
 
 
 class TestIntegerN:
@@ -197,6 +211,16 @@ class TestFlowerSvg:
         assert k > 0
         for want, row in zip(circles, got):
             assert [math.ldexp(v, k) for v in row] == pytest.approx(want, rel=1e-11, abs=1e-11 * big)
+
+    def test_nothing_to_render(self):
+        with pytest.raises(ValueError, match="nothing to render"):
+            flower_svg([])
+
+    def test_rescale_keeps_a_radius_it_would_round_to_zero(self):
+        # The box overflows and is drawn at 2^-4; 5e-324 times that is 0.
+        svg = flower_svg([(0.0, 0.0, 5e-324), (1.7e308, 0.0, 1e300)])
+        assert svg_circles(svg)[0] == (0.0, 0.0, 5e-324)
+        assert 'r="0"' not in svg
 
     def test_a_box_that_fits_is_not_rescaled(self):
         circles = [(0.0, 0.0, 1e307), (2e307, 0.0, 1e307), (-2e307, 0.0, 1e307)]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from nflower import euclid as euclid_module
 from nflower.euclid import (
     TWO_PI,
     Circle,
+    FlowerLayout,
     NumericFailure,
     angle_gap,
     angle_sum,
@@ -46,6 +48,18 @@ class TestCircle:
         with pytest.raises(ValueError):
             Circle(math.nan, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, math.inf, 1.0), "circle centre must be finite"),
+            ((0.0, 0.0, 0.0), "circle radius must be positive and finite"),
+            ((0.0, 0.0, math.nan), "circle radius must be positive and finite"),
+        ],
+    )
+    def test_messages(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Circle(*args)
+
 
 class TestAngleGap:
     def test_symmetric_three_flower_gap(self):
@@ -63,6 +77,19 @@ class TestAngleGap:
         for args in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:
             with pytest.raises(ValueError):
                 angle_gap(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 1.0, 1.0), "central radius must be positive and finite"),
+            ((math.inf, 1.0, 1.0), "central radius must be positive and finite"),
+            ((1.0, math.nan, 1.0), "petal radius must be positive and finite"),
+            ((1.0, 1.0, math.inf), "petal radius must be positive and finite"),
+        ],
+    )
+    def test_rejects_nan_and_inf(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            angle_gap(*args)
 
     @pytest.mark.parametrize(
         "R, r_a, r_b",
@@ -174,6 +201,26 @@ class TestSolveCentralRadius:
         with pytest.raises(ValueError):
             solve_central_radius([1.0, 1.0, -1.0])
 
+    def test_too_extreme_to_bracket(self):
+        # Radii of curvature 5.9e-309: the bracket's upper end overflows.
+        with pytest.raises(NumericFailure, match="petal radii too extreme to bracket the central radius"):
+            solve_central_radius([1.0 / 5.9e-309] * 7)
+
+    @pytest.mark.parametrize(
+        "total, message",
+        [
+            (math.nan, "angle sum is not finite; NaN propagation in the bracket"),
+            (TWO_PI + 1e-3, "angle sum residual 1.000e-03 exceeds tol 1.000e-12"),
+        ],
+    )
+    def test_angle_sum_checks(self, monkeypatch, total, message):
+        # No known input reaches these checks; the kernel is replaced by one
+        # that returns a NaN, or a sum a milliradian above a full turn (so
+        # every step moves up the bracket until it closes).
+        monkeypatch.setattr(euclid_module, "_angle_sum_and_log_slope", lambda R, radii: (total, -1.0))
+        with pytest.raises(NumericFailure, match=re.escape(message)):
+            solve_central_radius([1.0, 1.0, 1.0])
+
 
 class TestAngleSumShape:
     def test_strictly_decreasing_on_grid(self):
@@ -208,6 +255,14 @@ class TestLayout:
         for petal, theta in zip(layout.petals, angles):
             assert petal.cx == pytest.approx(d * math.cos(theta), abs=1e-9)
             assert petal.cy == pytest.approx(d * math.sin(theta), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "petals, gaps, message",
+        [(2, 2, "a flower needs at least 3 petals"), (3, 2, "need one gap angle per petal")],
+    )
+    def test_counts_checked(self, petals, gaps, message):
+        with pytest.raises(ValueError, match=message):
+            FlowerLayout(Circle(0.0, 0.0, 1.0), [Circle(2.0, 0.0, 1.0)] * petals, [1.0] * gaps)
 
     def test_random_layouts_validate(self):
         rng = random.Random(14)

@@ -49,6 +49,11 @@ class TestSpinor:
     def test_negation(self):
         assert -Spinor(1.0, -2.0) == Spinor(-1.0, 2.0)
 
+    @pytest.mark.parametrize("xi, eta", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, xi, eta):
+        with pytest.raises(ValueError, match="spinor components must be finite"):
+            Spinor(xi, eta)
+
 
 class TestBracket:
     def test_identity_determinant(self):
@@ -145,6 +150,23 @@ class TestSpinorHorocycle:
             Horocycle(math.inf, radius=1.0)
         with pytest.raises(ValueError):
             Horocycle(0.0, radius=-1.0)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((math.inf,), {"height": 0.0}, "height must be positive and finite"),
+            ((math.inf,), {"height": math.nan}, "height must be positive and finite"),
+            ((0.0,), {"radius": math.inf}, "radius must be positive and finite"),
+            ((0.0,), {"radius": math.nan}, "radius must be positive and finite"),
+        ],
+    )
+    def test_horocycle_size_messages(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Horocycle(*args, **kwargs)
+
+    def test_no_curvature_at_infinity(self):
+        with pytest.raises(ValueError, match="horocycle at infinity has no curvature"):
+            Horocycle(math.inf, height=2.0).curvature
 
 
 class TestCayley:
@@ -258,6 +280,11 @@ class TestDiscHorocycleMaps:
         with pytest.raises(ValueError):
             DiscHorocycle(1.0, 1.5)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_tangency_angle_must_be_finite(self, angle):
+        with pytest.raises(ValueError, match="tangency angle must be finite"):
+            DiscHorocycle(angle, 0.5)
+
 
 class TestDiscCurvature:
     def test_unit_eta(self):
@@ -320,6 +347,12 @@ class TestLambdaLength:
         a = Horocycle(1.0, radius=0.5)
         b = Horocycle(1.0, radius=0.25)
         with pytest.raises(ValueError):
+            lambda_length_geometric(a, b)
+
+    def test_horocycle_at_infinity_rejected(self):
+        a = Horocycle(0.0, radius=0.5)
+        b = Horocycle(math.inf, height=1.0)
+        with pytest.raises(ValueError, match="both horocycles must have finite tangency points"):
             lambda_length_geometric(a, b)
 
     def test_matches_bracket(self):

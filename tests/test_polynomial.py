@@ -66,6 +66,14 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             PolynomialZZ.from_dict(2, {(-1, 0): 1})
 
+    def test_multiplication_needs_equal_variable_counts(self):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            PolynomialZZ.from_dict(2, {(1, 0): 1}) * PolynomialZZ.from_dict(3, {(1, 0, 0): 1})
+
+    def test_evaluate_needs_one_value_per_variable(self):
+        with pytest.raises(ValueError, match="expected 2 values, got 3"):
+            PolynomialZZ.from_dict(2, {(1, 0): 1}).evaluate([1.0, 2.0, 3.0])
+
 
 class TestSerialization:
     def test_golden_three(self):
@@ -168,9 +176,8 @@ class TestDescartesPolynomial:
         def forbidden(*args, **kwargs):
             raise AssertionError("descartes_polynomial must not re-canonicalize")
 
-        # Empty the memo, so that every n below is built with the arithmetic
-        # forbidden rather than handed back from an earlier test.
-        descartes._relation_polynomial.cache_clear()
+        # The memo starts empty (tests/conftest.py), so every n below is
+        # built with the arithmetic forbidden.
         for name in ("from_dict", "__mul__"):
             monkeypatch.setattr(PolynomialZZ, name, forbidden)
         for n in range(3, 13):
@@ -186,11 +193,8 @@ class TestDescartesPolynomial:
 
 class TestMemo:
     """descartes_polynomial keeps n <= 12 for the process; serialize() keeps
-    its text on the instance."""
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        descartes._relation_polynomial.cache_clear()
+    its text on the instance.  Each test starts with the memo empty
+    (tests/conftest.py)."""
 
     def test_same_instance_up_to_twelve(self):
         for n in range(3, 13):
