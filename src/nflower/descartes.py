@@ -45,14 +45,7 @@ from .euclid import (
     _solved_flower,
     solve_central_radius,
 )
-from .hyperbolic import (
-    DiscHorocycle,
-    Spinor,
-    _bracket_is_minus_one,
-    _spinor_coordinates,
-    bracket,
-    disc_horocycle_to_uhp,
-)
+from .hyperbolic import Spinor, _bracket_is_minus_one, _disc_to_uhp, _spinor_coordinates, bracket
 from .polynomial import PolynomialZZ
 
 # Cap for descartes_polynomial alone: its expansion has 2^(n-2) lhs terms and
@@ -101,15 +94,15 @@ class SpinorChain:
 
     @property
     def xis(self) -> tuple[float, ...]:
-        return tuple(s.xi for s in self.spinors)
+        return tuple([s.xi for s in self.spinors])
 
     @property
     def etas(self) -> tuple[float, ...]:
-        return tuple(s.eta for s in self.spinors)
+        return tuple([s.eta for s in self.spinors])
 
 
 def _m_values(m: Sequence[float], minimum: int = 3) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in m)
+    vals = tuple(map(float, m))
     if len(vals) < minimum:
         raise ValueError(f"need at least {minimum} m-variables, got {len(vals)}")
     return vals
@@ -400,7 +393,7 @@ def closure_residuals(chain: SpinorChain) -> tuple[float, float]:
     es = chain.etas
     if 0.0 in es:
         raise NumericFailure(f"eta_{es.index(0.0)} = 0: the eta-sum residual is undefined")
-    eres = sum(1.0 / (es[j] * es[j + 1]) for j in range(n - 1)) - 1.0 / (es[0] * es[n - 1])
+    eres = sum([1.0 / (es[j] * es[j + 1]) for j in range(n - 1)]) - 1.0 / (es[0] * es[n - 1])
     return bres, eres
 
 
@@ -466,12 +459,14 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
 
     It builds only the spinors it returns.  R and the gap angles come from
     euclid._solved_flower, as in layout_flower, so no layout or placed petal
-    is built, and a flower just laid out is not solved again.  Per petal, the
-    inverted radius and the spinor coordinates are floats from _inverted
-    and _spinor_coordinates, the helpers of invert_in_unit_circle and
-    horocycle_to_spinor, and the horocycle goes through
-    disc_horocycle_to_uhp.  The result equals the composition of those
-    public functions to the bit.
+    is built, and a flower just laid out is not solved again.  Per petal,
+    the inverted radius, the half-plane horocycle and the spinor coordinates
+    are floats from _inverted, _disc_to_uhp and _spinor_coordinates, the
+    helpers that invert_in_unit_circle, disc_horocycle_to_uhp and
+    horocycle_to_spinor call, so no Circle, DiscHorocycle or Horocycle is
+    built; _disc_to_uhp applies the horocycle classes' rules (disc radius in
+    (0, 1), no tangency at 1, a positive, finite image radius).  The result
+    equals the composition of those public functions to the bit.
 
     All eta are positive here, unlike in spinor_recursion.  The chain is cut
     at the widest gap (best numerical conditioning); `start` of the result
@@ -492,9 +487,8 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
         r_norm = radii[j] / R
         d_norm = 1.0 + r_norm
         rho = _inverted(d_norm * math.cos(theta), d_norm * math.sin(theta), r_norm)[2]
-        h = disc_horocycle_to_uhp(DiscHorocycle(theta, rho))  # checks 0 < rho < 1
+        xi, eta = _spinor_coordinates(*_disc_to_uhp(theta, rho))
         disc_curv.append(1.0 / rho)
-        xi, eta = _spinor_coordinates(h.tangency, h.radius)
         if spinors:
             spinors.append(Spinor(xi - p0 * eta, eta))
         else:  # translate the chain so that it starts at 0

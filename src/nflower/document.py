@@ -59,7 +59,12 @@ def _checked_circles(circles, count: int) -> tuple[tuple[float, float, float], .
         try:
             cx, cy, r = c
         except (TypeError, ValueError):  # not a triple; a non-number still fails first
-            rows.append(tuple(map(float, c)))
+            try:
+                values = iter(c)
+            except TypeError:  # a bare value: if a number, it fails on the shape
+                values = (c,)
+            for v in values:
+                float(v)
             shaped = False
             continue
         cx, cy, r = row = (float(cx), float(cy), float(r))
@@ -101,10 +106,11 @@ class FlowerDocument:
         values = [self.central_curvature, *self.petal_curvatures, self.tolerance]
         tail = "\n"
         if self.circles is not None:
-            rows = ",\n".join(["    [%.17g, %.17g, %.17g]"] * (n + 1))
+            rows = "    [%.17g, %.17g, %.17g],\n" * n + "    [%.17g, %.17g, %.17g]"
             tail = f',\n  "circles": [\n{rows}\n  ]\n'
-            values += [v for c in self.circles for v in c]
-        petals = ", ".join(["%.17g"] * n)
+            for c in self.circles:
+                values += c
+        petals = "%.17g, " * (n - 1) + "%.17g"
         template = (
             f'{{\n  "n": {n},\n  "central_curvature": %.17g,\n'
             f'  "petal_curvatures": [{petals}],\n  "tolerance": %.17g{tail}}}\n'

@@ -61,7 +61,7 @@ class FlowerLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "petals", tuple(self.petals))
-        object.__setattr__(self, "gap_angles", tuple(float(a) for a in self.gap_angles))
+        object.__setattr__(self, "gap_angles", tuple(map(float, self.gap_angles)))
         if len(self.petals) < 3:
             raise ValueError("a flower needs at least 3 petals")
         if len(self.gap_angles) != len(self.petals):
@@ -79,14 +79,19 @@ _LARGEST = 1.0 / _SMALLEST
 def _checked_petals(values: Sequence[float], what: str = "petal curvatures") -> list[float]:
     """The values as floats, after checking that there are at least 3 and
     that each is positive and finite with a finite reciprocal; the one input
-    check of every entry point that takes petals."""
+    check of every entry point that takes petals.  A value in
+    [_SMALLEST, _LARGEST] passes both rules, so each value is tested once;
+    the rules run one after the other, over all values, only when a value
+    fails, so that the first rule broken by any value is the one reported."""
     vals = [float(v) for v in values]
     if len(vals) < 3:
         raise ValueError("a flower needs at least 3 petals")
     for v in vals:
-        _positive_finite(v, what)
-    for v in vals:
-        _check_reciprocal(v, what)
+        if not _SMALLEST <= v <= _LARGEST:  # also False for a NaN
+            for w in vals:
+                _positive_finite(w, what)
+            for w in vals:
+                _check_reciprocal(w, what)
     return vals
 
 

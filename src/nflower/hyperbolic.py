@@ -76,6 +76,13 @@ class Horocycle:
         return 1.0 / self.radius
 
 
+def _disc_radius(rho: float) -> None:
+    """Raise ValueError unless 0 < rho < 1 (a NaN fails too): the radius
+    rule of a DiscHorocycle."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"disc horocycle radius must be in (0, 1), got {rho}")
+
+
 @dataclass(frozen=True)
 class DiscHorocycle:
     """Disc-model horocycle: tangent to the unit circle at exp(i * angle)
@@ -87,8 +94,7 @@ class DiscHorocycle:
     def __post_init__(self):
         if not math.isfinite(self.tangency_angle):
             raise ValueError("tangency angle must be finite")
-        if not (0.0 < self.radius < 1.0):
-            raise ValueError(f"disc horocycle radius must be in (0, 1), got {self.radius}")
+        _disc_radius(self.radius)
 
     @property
     def curvature(self) -> float:
@@ -108,8 +114,9 @@ def _bracket_is_minus_one(a: Spinor, b: Spinor, tol: float) -> bool:
     """Whether bracket(a, b) is -1 within tol times max(1, |z_a||z_b|) for
     z = xi + i eta, the scale of the bracket's rounding; False for a NaN or
     infinite residual, which a product past the float range leaves.  The
-    scale is formed only past the absolute test."""
-    d = abs(bracket(a, b) + 1.0)
+    scale is formed only past the absolute test.  The determinant is
+    bracket's, written out."""
+    d = abs(a.xi * b.eta - a.eta * b.xi + 1.0)
     return d <= tol or (d < INF and d <= tol * math.hypot(a.xi, a.eta) * math.hypot(b.xi, b.eta))
 
 
@@ -173,12 +180,23 @@ def disc_horocycle_to_uhp(h: DiscHorocycle) -> Horocycle:
     for tangency angle theta and radius rho.  Horocycles tangent at angle 0
     would map to a horizontal line and are rejected.
     """
-    half = math.remainder(h.tangency_angle, 2.0 * math.pi) / 2.0
+    tangency, radius = _disc_to_uhp(h.tangency_angle, h.radius)
+    return Horocycle(tangency, radius=radius)
+
+
+def _disc_to_uhp(theta: float, rho: float) -> tuple[float, float]:
+    """(tangency, radius) of disc_horocycle_to_uhp for the disc horocycle
+    tangent at angle theta with radius rho, on floats: the one copy of the
+    closed form.  It applies the rules of both horocycle classes, so a
+    caller that builds neither still gets their ValueErrors: rho in (0, 1),
+    no tangency at 1, and a positive, finite image radius."""
+    _disc_radius(rho)
+    half = math.remainder(theta, 2.0 * math.pi) / 2.0
     sin_half = math.sin(half)
     if abs(sin_half) < 1e-12:
         raise ValueError("disc horocycle tangent at 1 maps to a horocycle at infinity")
-    radius = h.radius / (2.0 * (1.0 - h.radius) * sin_half * sin_half)
-    return Horocycle(-math.cos(half) / sin_half, radius=radius)
+    radius = rho / (2.0 * (1.0 - rho) * sin_half * sin_half)
+    return -math.cos(half) / sin_half, _positive_finite(radius, "radius")
 
 
 def uhp_horocycle_to_disc(h: Horocycle) -> DiscHorocycle:

@@ -61,4 +61,7 @@ def flower_svg(circles: Sequence[tuple[float, float, float]]) -> str:
         box, span = _padded_box(circles)
     stroke = _filled("%.12g", [0.005 * span])
     rows = _ROW.format(_CENTRAL_STROKE, stroke) + _ROW.format(_PETAL_STROKE, stroke) * (len(circles) - 1)
-    return _filled(_HEAD + rows + "</svg>\n", [*box, *[v for cx, cy, r in circles for v in (cx, -cy, r)]])
+    values = [*box]
+    for cx, cy, r in circles:
+        values += cx, -cy, r
+    return _filled(_HEAD + rows + "</svg>\n", values)

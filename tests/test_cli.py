@@ -122,7 +122,7 @@ class TestLayoutVerify:
             None,
         )
         path = tmp_path / "bad.json"
-        path.write_text(bad.to_json())
+        path.write_text(bad.to_json(), encoding="utf-8")
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "FAIL descartes relation" in out
@@ -570,11 +570,11 @@ class TestRender:
     def test_svg_structure(self, capsys, tmp_path):
         _, doc_json, _ = run(capsys, "layout", "1,1,1")
         src = tmp_path / "flower.json"
-        src.write_text(doc_json)
+        src.write_text(doc_json, encoding="utf-8")
         out_path = tmp_path / "flower.svg"
         code, _, _ = run(capsys, "render", str(src), str(out_path))
         assert code == 0
-        svg = out_path.read_text()
+        svg = out_path.read_text(encoding="utf-8")
         assert svg.count("<circle") == 4
         assert "viewBox" in svg
         assert svg.count('stroke="#c0392b"') == 1  # central circle stroked distinctly
@@ -583,7 +583,7 @@ class TestRender:
         _, doc_json, _ = run(capsys, "layout", "1,1,1")
         doc = FlowerDocument.from_json(doc_json)
         src = tmp_path / "flower.json"
-        src.write_text(doc_json)
+        src.write_text(doc_json, encoding="utf-8")
         code, svg, _ = run(capsys, "render", str(src), "-")
         xmin, ymin, width, height = map(float, re.search(r'viewBox="([^"]+)"', svg).group(1).split())
         raw_xmin = min(cx - r for cx, cy, r in doc.circles)
@@ -598,7 +598,7 @@ class TestRender:
     def test_deterministic_bytes(self, capsys, tmp_path):
         _, doc_json, _ = run(capsys, "layout", "2,1,0.5,1")
         src = tmp_path / "f.json"
-        src.write_text(doc_json)
+        src.write_text(doc_json, encoding="utf-8")
         _, svg1, _ = run(capsys, "render", str(src), "-")
         _, svg2, _ = run(capsys, "render", str(src), "-")
         assert svg1 == svg2
@@ -744,6 +744,7 @@ class TestDispatch:
             [sys.executable, "-m", "nflower.cli", "solve", "1,1,1"],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0
         assert "central curvature: 6.46410161514" in proc.stdout

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from nflower.descartes import (
 )
 from nflower import descartes as descartes_module
 from nflower import euclid as euclid_module
+from nflower import hyperbolic as hyperbolic_module
 from nflower.euclid import (
     Circle,
     NumericFailure,
@@ -535,6 +537,46 @@ class TestGeometricChain:
             assert got == [(s.xi.hex(), s.eta.hex()) for s in spinors], petals
 
 
+class TestGeometricChainOnFloats:
+    """geometric_spinor_chain maps each petal from the disc to the
+    half-plane through hyperbolic._disc_to_uhp, on floats, and still applies
+    the rules of the horocycle classes it no longer builds."""
+
+    def test_builds_no_horocycle(self, monkeypatch):
+        built = []
+        for cls in (hyperbolic_module.DiscHorocycle, hyperbolic_module.Horocycle):
+            real = cls.__post_init__
+
+            def counted(self, real=real):
+                built.append(type(self).__name__)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        rng = random.Random(44)
+        for _ in range(10):
+            geometric_spinor_chain(random_petals(rng, rng.randrange(3, 11)))
+        assert built == []
+
+    def test_disc_radius_rule(self, monkeypatch):
+        monkeypatch.setattr(descartes_module, "_inverted", lambda cx, cy, r: (cx, cy, 1.0))
+        with pytest.raises(ValueError, match=re.escape("disc horocycle radius must be in (0, 1), got 1.0")):
+            geometric_spinor_chain([1.0, 2.0, 3.0])
+
+    def test_tangent_at_one_rule(self, monkeypatch):
+        # Zero gaps put every petal at chain angle 0.
+        monkeypatch.setattr(descartes_module, "_solved_flower", lambda radii: (1.0, (0.0,) * len(radii)))
+        with pytest.raises(ValueError, match="disc horocycle tangent at 1 maps to a horocycle at infinity"):
+            geometric_spinor_chain([1.0, 2.0, 3.0])
+
+    def test_image_radius_rule(self, monkeypatch):
+        # The chain starts at angle pi, where the image radius is rho / 2,
+        # and 5e-324 / 2 rounds to 0.
+        monkeypatch.setattr(descartes_module, "_solved_flower", lambda radii: (1.0, (2.0 * math.pi, 0.0, 0.0)))
+        monkeypatch.setattr(descartes_module, "_inverted", lambda cx, cy, r: (cx, cy, 5e-324))
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            geometric_spinor_chain([1.0, 2.0, 3.0])
+
+
 class TestOneSolvePerFlower:
     """layout_flower and geometric_spinor_chain keep the last flower they
     solved (euclid._solved_flower); tests/conftest.py empties it before
@@ -881,7 +923,7 @@ class TestSameBitsOnEveryPython:
     # recorded with CPython 3.11 on x86-64 Linux (glibc's libm); regenerate
     # them with `json.dumps(golden_rows())` only for a deliberate change.
     def test_central_solves_match_the_recorded_bits(self):
-        expected = json.loads(GOLDEN_SOLVES.read_text())
+        expected = json.loads(GOLDEN_SOLVES.read_text(encoding="utf-8"))
         got = golden_rows()
         assert sum(row != "NumericFailure" for row in expected) >= 100
         mismatched = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]

@@ -66,6 +66,17 @@ class TestFlowerDocument:
         with pytest.raises(ValueError, match=re.escape(message)):
             sample_doc(circles=circles)
 
+    def test_circle_that_is_a_bare_number(self):
+        circles = ((0.0, 0.0, 1.0), 1.0, (0.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+        message = "circles must be n+1 triples (cx, cy, r), central first"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_doc(circles=circles)
+
+    def test_a_non_number_fails_before_the_shape(self):
+        circles = ((0.0, 0.0, 1.0), 1.0, (0.0, "x", 1.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+            sample_doc(circles=circles)
+
     def test_petal_count_mismatch(self):
         with pytest.raises(ValueError):
             FlowerDocument(n=4, central_curvature=1.0, petal_curvatures=(1.0, 1.0, 1.0))
@@ -212,6 +223,11 @@ class TestFlowerSvg:
         for want, row in zip(circles, got):
             assert [math.ldexp(v, k) for v in row] == pytest.approx(want, rel=1e-11, abs=1e-11 * big)
 
+    def test_circle_that_is_a_bare_number(self):
+        message = "circles must be n+1 triples (cx, cy, r), central first"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            flower_svg([(0.0, 0.0, 1.0), 1.0])
+
     def test_nothing_to_render(self):
         with pytest.raises(ValueError, match="nothing to render"):
             flower_svg([])
@@ -277,7 +293,7 @@ class TestSameBytesOnEveryPython:
     # with `json.dumps(golden_document_rows())` only for a deliberate change
     # of the document or SVG bytes.
     def test_documents_and_svgs_match_the_recorded_bytes(self):
-        expected = json.loads(GOLDEN_DOCUMENTS.read_text())
+        expected = json.loads(GOLDEN_DOCUMENTS.read_text(encoding="utf-8"))
         got = golden_document_rows()
         assert sum(row != "NumericFailure" for row in expected) >= 200
         mismatched = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]

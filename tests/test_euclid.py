@@ -61,6 +61,47 @@ class TestCircle:
             Circle(*args)
 
 
+_POSITIVE = "petal curvatures must be positive and finite"
+_IN_RANGE = (
+    "petal curvatures must lie in [5.56268464626801e-309, 1.7976931348623143e+308], "
+    "where the reciprocal is finite, got "
+)
+
+
+class TestCheckedPetals:
+    """_checked_petals tests each value once against [_SMALLEST, _LARGEST]
+    and runs its two rules only when a value fails; the message is the one
+    that running the rules in turn over all values gives: positive and
+    finite first, then the range."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.0], _POSITIVE),
+            ([-1.0], _POSITIVE),
+            ([math.nan], _POSITIVE),
+            ([math.inf], _POSITIVE),
+            ([-math.inf], _POSITIVE),
+            ([5e-324], _IN_RANGE + "5e-324"),
+            ([1.8e308], _POSITIVE),  # the literal rounds to inf
+            ([1.7976931348623157e308], _IN_RANGE + "1.7976931348623157e+308"),
+            ([5e-324, math.nan], _POSITIVE),
+            ([math.nan, 5e-324], _POSITIVE),
+        ],
+        ids=["0", "-1", "nan", "inf", "-inf", "5e-324", "1.8e308", "float-max",
+             "5e-324,nan", "nan,5e-324"],
+    )
+    def test_message_of_the_first_rule_broken(self, bad, message):
+        with pytest.raises(ValueError) as exc:
+            euclid_module._checked_petals([1.0, *bad, 1.0])
+        assert str(exc.value) == message
+
+    def test_values_in_range_pass_as_floats(self):
+        vals = euclid_module._checked_petals((1, True, euclid_module._SMALLEST, euclid_module._LARGEST))
+        assert vals == [1.0, 1.0, euclid_module._SMALLEST, euclid_module._LARGEST]
+        assert all(type(v) is float for v in vals)
+
+
 class TestAngleGap:
     def test_symmetric_three_flower_gap(self):
         assert angle_gap(R3, 1.0, 1.0) == pytest.approx(TWO_PI / 3.0, abs=1e-12)
