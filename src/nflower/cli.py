@@ -4,6 +4,11 @@ Subcommands: solve, verify, layout, render, spinors, polynomial.
 Exit codes: 0 pass, 1 verification fail, 2 usage or parse error, 3 numeric
 failure.  `-` reads from standard input.  Reports display 12 significant
 digits; documents carry 17.
+
+Each subcommand imports the modules it runs when it runs, so a `solve`
+process loads `euclid` and `solve` but not the spinor, polynomial, document
+or SVG code, and `polynomial` loads no geometry.  The top level imports
+only what the parser needs.
 """
 
 from __future__ import annotations
@@ -11,36 +16,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Sequence
 
-from .descartes import (
-    MAX_POLYNOMIAL_N,
-    _normalized_relation,
-    m_from_normalized,
-    solve_report,
-    spinor_recursion,
-    descartes_polynomial,
-)
-from .document import DEFAULT_TOLERANCE, FlowerDocument, _filled
-from .euclid import (
-    TWO_PI,
-    Circle,
-    NumericFailure,
-    _checked_petals,
-    _positive_finite,
-    _worst_tangency,
-    angle_sum,
-    classic_descartes_residual,
-    classic_descartes_scale,
-    four_flower_poly_residual,
-    four_flower_poly_scale,
-    layout_flower,
-)
-from .hyperbolic import _bracket_is_minus_one, bracket
-from .svg import flower_svg
+from .expansion import MAX_POLYNOMIAL_N, _relation_terms
+from .formats import DEFAULT_TOLERANCE, _filled, _term_row
+
+if TYPE_CHECKING:
+    from .document import FlowerDocument
+
+# Rows of `polynomial` per write: one write for the n <= 14 polynomials,
+# about 0.4 MB of text for the largest.
+_ROWS_PER_WRITE = 8192
 
 
 def _parse_petals(text: str) -> list[float]:
+    from .euclid import _checked_petals
+
     try:
         petals = [float(f) for f in text.split(",") if f.strip()]
     except ValueError as exc:
@@ -61,6 +53,8 @@ def _num(x: float) -> float:
 
 
 def cmd_solve(args) -> int:
+    from .solve import solve_report
+
     petals = _parse_petals(args.petals)
     rep = solve_report(petals, args.tol)
     rel = abs(rep.residual) / rep.residual_scale
@@ -86,6 +80,18 @@ def cmd_solve(args) -> int:
 
 def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, float, float]]:
     """(name, passed, value, threshold) rows for a document."""
+    from .euclid import (
+        TWO_PI,
+        Circle,
+        _worst_tangency,
+        angle_sum,
+        classic_descartes_residual,
+        classic_descartes_scale,
+        four_flower_poly_residual,
+        four_flower_poly_scale,
+    )
+    from .solve import _normalized_relation
+
     checks: list[tuple[str, bool, float, float]] = []
     if doc.circles is not None:
         central = Circle(*doc.circles[0])
@@ -129,6 +135,8 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
 
 
 def cmd_verify(args) -> int:
+    from .document import FlowerDocument
+
     doc = FlowerDocument.from_json(_read_input(args.file))
     checks = _verify_checks(doc, args.tol)
     ok = all(passed for _, passed, _, _ in checks)
@@ -148,6 +156,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_layout(args) -> int:
+    from .document import FlowerDocument
+    from .euclid import layout_flower
+
     petals = _parse_petals(args.petals)
     layout = layout_flower([1.0 / k for k in petals])
     circles = [(layout.central.cx, layout.central.cy, layout.central.r)]
@@ -164,6 +175,9 @@ def cmd_layout(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .document import FlowerDocument
+    from .svg import flower_svg
+
     doc = FlowerDocument.from_json(_read_input(args.file))
     if doc.circles is None:
         raise ValueError("document has no circles; produce it with `layout`")
@@ -177,11 +191,21 @@ def cmd_render(args) -> int:
 
 
 def cmd_spinors(args) -> int:
+    from .descartes import m_from_normalized, spinor_recursion
+    from .euclid import NumericFailure
+    from .hyperbolic import _bracket_is_minus_one, bracket
+    from .solve import solve_report
+
     petals = _parse_petals(args.petals)
     rep = solve_report(petals, args.tol)
     k0 = rep.central_curvature
-    m = m_from_normalized([k / k0 for k in petals])
-    chain = spinor_recursion(m)
+    stage = "m_from_normalized"
+    try:
+        m = m_from_normalized([k / k0 for k in petals])
+        stage = "spinor_recursion"
+        chain = spinor_recursion(m)
+    except ValueError as exc:  # the petals passed their check, so this is numeric
+        raise NumericFailure(f"{stage}: {exc}") from exc
     if not _bracket_is_minus_one(chain[0], chain[-1], args.tol):
         closing = bracket(chain[0], chain[-1]) + 1.0
         raise NumericFailure(f"spinor chain does not close: bracket residual {closing:.3e}")
@@ -205,12 +229,19 @@ def cmd_spinors(args) -> int:
 
 
 def cmd_polynomial(args) -> int:
-    sys.stdout.write(descartes_polynomial(args.n).serialize())
+    """Write the relation polynomial's rows as they are generated, a chunk
+    at a time, so that neither the terms nor the text are kept."""
+    terms = _relation_terms(args.n)  # a bad n raises before any output
+    row = _term_row(args.n)
+    while chunk := [row % (c, *exps) for c, exps in islice(terms, _ROWS_PER_WRITE)]:
+        sys.stdout.write("".join(chunk))
     return 0
 
 
 def _tolerance(text: str) -> float:
     """The --tol value: a positive, finite real, or argparse's usage error."""
+    from .euclid import _positive_finite
+
     try:
         return _positive_finite(float(text), "--tol")
     except ValueError:  # not a number, or not positive and finite

@@ -12,6 +12,8 @@ m_j^2 + 1 = (k_j + 1)(k_{j-1} + 1), the right side over |P| is
 t = 1/sqrt((k_0 + 1)(k_{n-1} + 1)), so the relation divided by |P| is
 sin(theta) - t: O(n), finite for every n, and the one form on the solve
 path (the check of the geometric root, the root bisection and `verify`).
+That path is the module `solve`, which imports only `euclid`; its names
+are re-exported here.
 The relation is homogeneous, so that path passes the unnormalized petal
 curvatures with a candidate central curvature, and one pass divides each
 petal by it and forms each m_j and its angle, keeping no list of
@@ -33,25 +35,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .euclid import (
-    NumericFailure,
-    _checked_petals,
-    _inverted,
-    _positive_finite,
-    _solved_flower,
-    solve_central_radius,
-)
+from .euclid import NumericFailure, _checked_petals, _inverted, _solved_flower
+from .expansion import MAX_POLYNOMIAL_N, _relation_terms
 from .hyperbolic import Spinor, _bracket_is_minus_one, _disc_to_uhp, _spinor_coordinates, bracket
-from .polynomial import PolynomialZZ
 
-# Cap for descartes_polynomial alone: its expansion has 2^(n-2) lhs terms and
-# 2^floor((n-1)/2) rhs terms (for even n the two constants merge or cancel),
-# about 4.2 million at n = 24.
-MAX_POLYNOMIAL_N = 24
+# Re-exported, with MAX_POLYNOMIAL_N above: the names of the solve path.
+from .solve import CentralSolve, _normalized_relation, solve_central_curvature, solve_report
+
+if TYPE_CHECKING:
+    from .polynomial import PolynomialZZ
 
 # descartes_polynomial keeps the polynomials up to this n for the life of the
 # process: n = 3..12 together, with their serialized text, hold about 0.45 MB
@@ -222,29 +216,6 @@ def _phase_form(vals: Sequence[float], t: float) -> tuple[float, float]:
     return math.sin(theta) - t, 1.0 + t
 
 
-def _normalized_relation(petals: Sequence[float], k: float) -> tuple[float, float]:
-    """The relation over |P| at petal curvatures petals (3 or more, each
-    >= 0) and central curvature k, in one pass: (sin(theta) - t, 1 + t),
-    theta summing atan2(1, m_j) with m_j = sqrt(p_j p_{j-1} - 1),
-    p_j = petals[j] / k + 1, and t = 1/sqrt(p_0 p_{n-1}) in [0, 1].  The
-    relation is homogeneous, so dividing by k here is the whole
-    normalization: no caller builds a list of normalized curvatures.  It
-    forms the float operations of _phase_form(m_from_normalized(
-    [p / k for p in petals]), t) in the same order, so the two agree to the
-    bit wherever the m-variables are finite, but keeps no list of them.
-    The one kernel of the solve path: the check of the geometric root, each
-    bisection step and `verify`."""
-    it = iter(petals)
-    first = prev = next(it) / k + 1.0
-    theta = 0.0
-    for q in it:
-        p = q / k + 1.0
-        theta += math.atan2(1.0, math.sqrt(p * prev - 1.0))
-        prev = p
-    t = 1.0 / math.sqrt(first * prev)
-    return math.sin(theta) - t, 1.0 + t
-
-
 def descartes_residual_complex(m: Sequence[float]) -> float:
     """Relation residual via the complex product form: Im prod_{j>=1}(m_j + i),
     exactly (i/2)(prod(m_j - i) - prod(m_j + i)) for real m_j, times m_0^2
@@ -260,42 +231,14 @@ def descartes_residual_complex(m: Sequence[float]) -> float:
     return lhs - _rhs_product(vals)
 
 
-def _monomial_terms(n: int, coeff: int, lead: int, positions: range, size: int, power: int):
-    """Terms coeff * m_0^lead * prod_{k in S} m_k^power over the subsets S of
-    `positions` with |S| = size.  combinations of an ascending range come in
-    lexicographic order of index tuples, which is descending lexicographic
-    order of the exponent vectors."""
-    out = []
-    for combo in combinations(positions, size):
-        exps = [0] * n
-        exps[0] = lead
-        for k in combo:
-            exps[k] = power
-        out.append((coeff, tuple(exps)))
-    return out
-
-
 def descartes_polynomial(n: int) -> PolynomialZZ:
     """The relation lhs - rhs as an exact integer polynomial in
-    m_0..m_{n-1}, terms in graded lexicographic order.
-
-    The lhs has 2^(n-2) terms +-m_0^(2[n odd]) prod_{k in S} m_k, S running
-    over the subsets of {1..n-1} with |S| = n (mod 2) and sign
-    (-1)^((n-2-|S|)/2); the rhs prod_{k in idx}(m_k^2 + 1) contributes the
-    2^floor((n-1)/2) terms -prod_{k in T} m_k^2, T a subset of idx (the odd
-    indices of 1..n-2 for odd n, the even ones for even n).  The two
-    families share only the constant exponent vector, so the terms are
-    written out degree by degree, each family already in order and one sort
-    per degree merging the two runs, and no coefficient is ever summed but
-    the constant: -1 for odd n, -2 for n = 0 (mod 4), none for n = 2 (mod 4).
-    Exponential in n; capped at n = MAX_POLYNOMIAL_N.  Polynomials up to
-    n = _KEPT_N are built once per process and the same instance is
-    returned on every later call; larger ones are built on each call.
+    m_0..m_{n-1}, terms in graded lexicographic order, built from the term
+    stream of `expansion`, which says what the terms are.  Exponential in n;
+    capped at n = MAX_POLYNOMIAL_N.  Polynomials up to n = _KEPT_N are built
+    once per process and the same instance is returned on every later call;
+    larger ones are built on each call.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n > MAX_POLYNOMIAL_N:
-        raise ValueError(f"subset enumeration capped at n = {MAX_POLYNOMIAL_N}")
     if n <= _KEPT_N:
         return _relation_polynomial(n)
     return _relation_polynomial.__wrapped__(n)
@@ -303,25 +246,13 @@ def descartes_polynomial(n: int) -> PolynomialZZ:
 
 @lru_cache(maxsize=None, typed=True)
 def _relation_polynomial(n: int) -> PolynomialZZ:
-    """descartes_polynomial(n) without the bounds check.  typed=True keeps
-    5.0 apart from 5, so a float n still fails as it does uncached."""
-    odd = n % 2
-    idx = range(1, n - 1, 2) if odd else range(2, n - 1, 2)
-    terms = []
-    for degree in range(n if odd else n - 2, 0, -1):
-        size = degree - 2 * odd
-        lhs = []
-        if degree % 2 == odd and size >= 0:
-            sign = -1 if (n - 2 - size) // 2 % 2 else 1
-            lhs = _monomial_terms(n, sign, 2 * odd, range(1, n), size, 1)
-        rhs = []
-        if degree % 2 == 0:
-            rhs = _monomial_terms(n, -1, 0, idx, degree // 2, 2)
-        terms += sorted(lhs + rhs, key=itemgetter(1), reverse=True)
-    constant = -1 if odd else (-2 if n % 4 == 0 else 0)
-    if constant:
-        terms.append((constant, (0,) * n))
-    return PolynomialZZ(n, tuple(terms))
+    """descartes_polynomial(n), kept.  typed=True keeps 5.0 apart from 5, so
+    a float n still fails as it does uncached."""
+    # Imported here, where a polynomial is built, so that the `spinors`
+    # command, which imports this module, does not load it.
+    from .polynomial import PolynomialZZ
+
+    return PolynomialZZ(n, tuple(_relation_terms(n)))
 
 
 def spinor_recursion(m: Sequence[float]) -> SpinorChain:
@@ -496,81 +427,3 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
             p0 = xi / eta
         theta += gaps[j]
     return GeometricChain(SpinorChain(tuple(spinors)), start, 1.0 / R, tuple(disc_curv))
-
-
-@dataclass(frozen=True)
-class CentralSolve:
-    """Central curvature of a flower with its cross-check data."""
-
-    central_curvature: float  # geometric (angle-sum) root
-    polished_curvature: float  # root of the relation residual
-    residual: float  # relation over |P| at the geometric root: sin(theta) - t
-    residual_scale: float  # term magnitude over |P|: 1 + t, in (1, 2]
-
-
-def solve_report(petals: Sequence[float], tol: float = 1e-9) -> CentralSolve:
-    """Solve for the central curvature and verify it two ways.
-
-    The geometric root comes from the safeguarded Newton iteration on the
-    angle sum of the radii (solve_central_radius); the relation residual at
-    that root must vanish to `tol` relative to the term magnitude, and an
-    independent bisection of the residual inside a +-10% bracket must land
-    on the same root to `tol` relative to it.  Both the check and the
-    bisection evaluate the relation divided by |P|, sin(theta) - t with t in
-    [0, 1], on one list of scaled petal curvatures, each at its candidate
-    central curvature (see _normalized_relation), so the value stays finite
-    for any n; a NaN at a bracket end or midpoint would still raise
-    NumericFailure, and +-inf would count by its sign.  An exact zero at a
-    bracket end or a midpoint is the root.
-    """
-    ks = _checked_petals(petals)
-    _positive_finite(tol, "tol")
-
-    k0 = 1.0 / solve_central_radius([1.0 / k for k in ks])
-    # For k0 >= 0.5 the check and the bisection run on the curvatures times
-    # down = 2^-e, e = frexp(k0)[1], which puts k0 in [0.5, 1), so 1.1 k0
-    # cannot overflow.  Each quotient p/k stays the same float, or a
-    # subnormal either way, which the m-variables add to 1; dividing by
-    # `down` maps a root back exactly, to inf beyond the float range.
-    down = 2.0 ** -max(math.frexp(k0)[1], 0)
-    scaled = [p * down for p in ks]
-    res, scale = _normalized_relation(scaled, k0 * down)
-    if not abs(res) <= tol * scale:
-        raise NumericFailure(
-            f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"
-        )
-
-    def f(k: float) -> float:
-        fk = _normalized_relation(scaled, k)[0]
-        if math.isnan(fk):
-            raise NumericFailure(
-                f"relation residual is not finite at n = {len(ks)}: nan at k = {k / down!r}"
-            )
-        return fk
-
-    lo, hi = 0.9 * (k0 * down), 1.1 * (k0 * down)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        hi = lo
-    elif fhi == 0.0:
-        lo = hi
-    elif (flo > 0.0) == (fhi > 0.0):
-        raise NumericFailure("relation residual does not change sign across the +-10% bracket")
-    # Halving [0.9 k, 1.1 k] reaches adjacent floats in about 55 steps.
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-        elif (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    kp = mid / down
-    if abs(kp - k0) > tol * k0:
-        raise NumericFailure(f"geometric and relation roots disagree: {k0!r} vs {kp!r}")
-    return CentralSolve(k0, kp, res, scale)
-
-
-def solve_central_curvature(petals: Sequence[float], tol: float = 1e-9) -> float:
-    """Central curvature of the flower with the given petal curvatures."""
-    return solve_report(petals, tol).central_curvature

@@ -12,15 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .euclid import _checked_petals, _check_reciprocal, _positive_finite
-
-DEFAULT_TOLERANCE = 1e-9
-
-
-def _filled(template: str, values) -> str:
-    """template % values, each value passed as a float; adding 0.0 turns -0
-    into 0, so no "-0" is printed.  The template's % fields set the digits:
-    the one number formatter of documents, SVGs and reports."""
-    return template % tuple([float(v) + 0.0 for v in values])
+from .formats import DEFAULT_TOLERANCE, _filled
 
 
 def _integer(v, what: str) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .formats import _term_row
+
 
 def _canonical(nvars: int, coeffs: Mapping[tuple[int, ...], int]):
     terms = []
@@ -65,9 +67,8 @@ class PolynomialZZ:
         # outside the dataclass fields (==, hash and repr do not see it).
         text = self.__dict__.get("_text")
         if text is None:
-            # One %-template per polynomial formats a whole row in one call;
-            # "%s" prints every int, float and bool exactly as str() does.
-            row = "%s " + " ".join(["%s"] * self.nvars) + "\n"
+            # One %-template per polynomial formats a whole row in one call.
+            row = _term_row(self.nvars)
             text = "".join([row % (c, *exps) for c, exps in self.terms])
             object.__setattr__(self, "_text", text)
         return text

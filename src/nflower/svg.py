@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .document import _checked_circles, _filled
+from .document import _checked_circles
+from .formats import _filled
 
 _CENTRAL_STROKE = "#c0392b"
 _PETAL_STROKE = "#2c3e50"

@@ -483,7 +483,7 @@ class TestReportsPrintNoMinusZero:
         from nflower.descartes import CentralSolve
 
         rep = CentralSolve(6.5, 6.5, -0.0, 1.0)
-        monkeypatch.setattr("nflower.cli.solve_report", lambda petals, tol: rep)
+        monkeypatch.setattr("nflower.solve.solve_report", lambda petals, tol: rep)
         code, out, _ = run(capsys, "solve", "1,1,1")
         assert (code, out) == (0, (
             "central curvature: 6.5\n"
@@ -511,7 +511,7 @@ class TestReportsPrintNoMinusZero:
             first, *rest = spinor_recursion(m).spinors
             return SpinorChain((Spinor(-0.0, first.eta), *rest))
 
-        monkeypatch.setattr("nflower.cli.spinor_recursion", chain_from_minus_zero)
+        monkeypatch.setattr("nflower.descartes.spinor_recursion", chain_from_minus_zero)
         code, out, _ = run(capsys, "spinors", "1,1,1")
         assert code == 0
         row = out.splitlines()[2]
@@ -638,7 +638,7 @@ class TestSpinors:
 
         # the chain of a non-flower: closing bracket -sqrt(3) instead of -1
         open_chain = spinor_recursion((math.sqrt(2.0), math.sqrt(3.0), math.sqrt(3.0)))
-        monkeypatch.setattr("nflower.cli.spinor_recursion", lambda m: open_chain)
+        monkeypatch.setattr("nflower.descartes.spinor_recursion", lambda m: open_chain)
         code, out, err = run(capsys, "spinors", "1,1,1")
         assert code == 3 and out == ""
         assert "does not close" in err
@@ -657,6 +657,35 @@ class TestSpinors:
             assert code == 0 or (code == 3 and "does not change sign" in err), err
             codes.append(code)
         assert codes.count(0) >= 582
+
+    @pytest.mark.parametrize("spread", [150, 300])
+    def test_valid_wide_petals_never_exit_2(self, capsys, spread):
+        # Exit 2 is for bad input.  At these spreads (k_a + 1)(k_b + 1)
+        # overflows in m_from_normalized on 14 and 8 of the flowers that
+        # solve accepts.
+        rng = random.Random(3100 + spread)
+        for _ in range(150):
+            n = rng.choice((3, 4, 5, 7, 12, 40))
+            petals = ",".join(repr(10.0 ** rng.uniform(-spread, spread)) for _ in range(n))
+            code, _, err = run(capsys, "spinors", petals)
+            assert code == 0 or (code == 3 and err.startswith("numeric failure: ")), err
+            assert "Traceback" not in err
+
+    def test_m_variable_overflow_names_the_stage(self, capsys):
+        petals = "1,1e200,1e200,1,1,1,1"
+        assert run(capsys, "solve", petals)[0] == 0
+        assert run(capsys, "spinors", petals) == (3, "", (
+            "numeric failure: m_from_normalized: m-variables must be finite and >= 0, got inf\n"
+        ))
+
+    def test_recursion_value_error_names_the_stage(self, capsys, monkeypatch):
+        def explode(m):
+            raise ValueError("spinor components must be finite")
+
+        monkeypatch.setattr("nflower.descartes.spinor_recursion", explode)
+        assert run(capsys, "spinors", "1,1,1") == (
+            3, "", "numeric failure: spinor_recursion: spinor components must be finite\n"
+        )
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_equal_petals_chain_closes(self, capsys, n):
@@ -683,6 +712,26 @@ class TestPolynomialCommand:
 
     def test_non_integer(self, capsys):
         assert run(capsys, "polynomial", "x")[0] == 2
+
+    def test_bad_n_writes_nothing(self, capsys):
+        assert run(capsys, "polynomial", "25") == (
+            2, "", "error: subset enumeration capped at n = 24\n"
+        )
+
+    def test_streams_without_a_polynomial(self, capsys, monkeypatch):
+        # n = 15 and 16 take more than one write.
+        from nflower.descartes import descartes_polynomial
+        from nflower.polynomial import PolynomialZZ
+
+        expected = {n: descartes_polynomial(n).serialize() for n in range(3, 17)}
+
+        def explode(*args, **kwargs):
+            raise AssertionError("polynomial built")
+
+        monkeypatch.setattr(PolynomialZZ, "__init__", explode)
+        monkeypatch.setattr(PolynomialZZ, "serialize", explode)
+        for n, text in expected.items():
+            assert run(capsys, "polynomial", str(n)) == (0, text, "")
 
 
 class TestReadmeExamples:
@@ -721,7 +770,7 @@ class TestDispatch:
         def explode(petals, tol):
             raise NumericFailure("roots disagree")
 
-        monkeypatch.setattr("nflower.cli.solve_report", explode)
+        monkeypatch.setattr("nflower.solve.solve_report", explode)
         code, _, err = run(capsys, "solve", "1,1,1")
         assert code == 3
         assert "numeric failure" in err
@@ -730,7 +779,7 @@ class TestDispatch:
         def explode(petals, tol):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr("nflower.cli.solve_report", explode)
+        monkeypatch.setattr("nflower.solve.solve_report", explode)
         code, _, err = run(capsys, "solve", "1,1,1")
         assert code == 3
         assert err.startswith("numeric failure")

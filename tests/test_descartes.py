@@ -33,6 +33,7 @@ from nflower.descartes import (
 from nflower import descartes as descartes_module
 from nflower import euclid as euclid_module
 from nflower import hyperbolic as hyperbolic_module
+from nflower import solve as solve_module
 from nflower.euclid import (
     Circle,
     NumericFailure,
@@ -583,8 +584,8 @@ class TestOneSolvePerFlower:
     each test."""
 
     def count_solves(self, monkeypatch, fail_first=False):
-        """Count calls of solve_central_radius under both of its module
-        names; the first raises NumericFailure if fail_first."""
+        """Count calls of solve_central_radius, which every caller looks up
+        on euclid; the first raises NumericFailure if fail_first."""
         real = euclid_module.solve_central_radius
         calls = []
 
@@ -595,7 +596,6 @@ class TestOneSolvePerFlower:
             return real(radii)
 
         monkeypatch.setattr(euclid_module, "solve_central_radius", counted)
-        monkeypatch.setattr(descartes_module, "solve_central_radius", counted)
         return calls
 
     def test_layout_then_chain_solves_once(self, monkeypatch):
@@ -700,14 +700,14 @@ class TestCentralCurvatureSolver:
     def test_root_agreement_is_relative(self, monkeypatch):
         # Move the relation root 5% away from the geometric root k0 = 6.46e-12.
         # An absolute tolerance of 1e-9 max(1, k0) would accept it.
-        real = descartes_module._normalized_relation
+        real = solve_module._normalized_relation
         calls = []
 
         def shifted(petals, k):
             calls.append(1)
             return real(petals, k if len(calls) == 1 else k / 1.05)
 
-        monkeypatch.setattr(descartes_module, "_normalized_relation", shifted)
+        monkeypatch.setattr(solve_module, "_normalized_relation", shifted)
         with pytest.raises(NumericFailure, match="disagree"):
             solve_report([1e-12] * 3)
 
@@ -741,7 +741,7 @@ class TestCentralCurvatureSolver:
         check, 1 and 2: the bracket ends, 3 on: midpoints).  Returns the
         list of the (petals, k) arguments of the calls made, for asserting
         that the patched one was reached."""
-        real = descartes_module._normalized_relation
+        real = solve_module._normalized_relation
         calls = []
 
         def kernel(petals, k):
@@ -749,7 +749,7 @@ class TestCentralCurvatureSolver:
             res, scale = real(petals, k)
             return (value(res), scale) if len(calls) == call + 1 else (res, scale)
 
-        monkeypatch.setattr(descartes_module, "_normalized_relation", kernel)
+        monkeypatch.setattr(solve_module, "_normalized_relation", kernel)
         return calls
 
     @pytest.mark.parametrize("call", [1, 2, 3, 10])
@@ -804,7 +804,7 @@ class TestCentralCurvatureSolver:
         flowers = list(sweep_flowers(random.Random(41), 120, 8.0))
         flowers += sweep_flowers(random.Random(42), 400, 12.0)
         expected = [outcome(petals) for petals in flowers]
-        monkeypatch.setattr(descartes_module, "_normalized_relation", composed_relation)
+        monkeypatch.setattr(solve_module, "_normalized_relation", composed_relation)
         assert [outcome(petals) for petals in flowers] == expected
         no_sign_change = "relation residual does not change sign across the +-10% bracket"
         assert (NumericFailure, no_sign_change) in expected
