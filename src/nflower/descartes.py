@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .euclid import NumericFailure, _checked_petals, _inverted, _solved_flower
+from .euclid import NumericFailure, _checked_petals, _solved_flower
 from .expansion import MAX_POLYNOMIAL_N, _relation_terms
-from .hyperbolic import Spinor, _bracket_is_minus_one, _disc_to_uhp, _spinor_coordinates, bracket
+from .hyperbolic import Spinor, _bracket_is_minus_one, bracket
 
 # Re-exported, with MAX_POLYNOMIAL_N above: the names of the solve path.
 from .solve import CentralSolve, _normalized_relation, solve_central_curvature, solve_report
@@ -335,7 +335,10 @@ class ParallelogramInvariants:
 
     areas[j-1] = Im(z_{j-1} conj(z_j)), +1 on flowers; closing_area is the
     first/last pair taken with reversed orientation, Im(conj(z_0) z_{n-1}),
-    -1 on flowers; dots[j-1] = Re(z_{j-1} conj(z_j)), m_j on flowers.
+    -1 on flowers; dots[j-1] = Re(z_{j-1} conj(z_j)), m_j on the chains that
+    spinor_recursion builds from flowers.  geometric_spinor_chain's chain of
+    a flower is that one moved by an SL2(R) map, which keeps the areas but
+    not the dots.
     """
 
     areas: tuple[float, ...]
@@ -383,25 +386,27 @@ class GeometricChain:
 
 
 def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
-    """Run a flower through the whole geometric pipeline and return the
-    resulting spinor chain: lay out, rescale to a unit central circle, invert
-    the petals into the disc, move to the upper half-plane, and take the
-    eta > 0 spinor of each horocycle, translated so the chain starts at 0.
+    """Spinor chain of the flower's own horocycles, in closed form.
 
-    It builds only the spinors it returns.  R and the gap angles come from
-    euclid._solved_flower, as in layout_flower, so no layout or placed petal
-    is built, and a flower just laid out is not solved again.  Per petal,
-    the inverted radius, the half-plane horocycle and the spinor coordinates
-    are floats from _inverted, _disc_to_uhp and _spinor_coordinates, the
-    helpers that invert_in_unit_circle, disc_horocycle_to_uhp and
-    horocycle_to_spinor call, so no Circle, DiscHorocycle or Horocycle is
-    built; _disc_to_uhp applies the horocycle classes' rules (disc radius in
-    (0, 1), no tangency at 1, a positive, finite image radius).  The result
-    equals the composition of those public functions to the bit.
+    Rescaled to a unit central circle and inverted in it, petal j becomes
+    the disc horocycle tangent at angle theta_j with radius rho = r/(1 + 2r),
+    r = r_j/R, so its disc curvature is 2 + R/r_j and (1 - rho)/rho is
+    q_j^2 = 1 + R/r_j.  Its eta > 0 spinor in the upper half-plane, less
+    cot(theta_0/2) eta_j so that the chain starts at 0, is
 
-    All eta are positive here, unlike in spinor_recursion.  The chain is cut
-    at the widest gap (best numerical conditioning); `start` of the result
-    says where.
+        eta_j = q_j sin(theta_j/2),
+        xi_j  = q_j sin((theta_j - theta_0)/2) / sin(theta_0/2),
+
+    by cot a - cot b = sin(b - a)/(sin a sin b).  R and the gap angles come
+    from euclid._solved_flower, as in layout_flower.  The chain is cut at
+    the widest gap, which `start` records: theta_0 is half that gap and
+    theta_j - theta_0 a running sum of the others, so no tangency is formed
+    as a difference and sin(theta_0/2) is at least sin(pi/(2n)).
+
+    All eta are positive, unlike in spinor_recursion.  Once the petals pass
+    their check, a disc curvature that overflows or a chain that fails
+    SpinorChain's check raises NumericFailure, not ValueError; where the
+    disc curvatures are finite, so are q_j and every spinor component.
     """
     ks = _checked_petals(petal_curvatures)
     n = len(ks)
@@ -410,20 +415,21 @@ def geometric_spinor_chain(petal_curvatures: Sequence[float]) -> GeometricChain:
     # widest gap precedes the chain start
     start = (max(range(n), key=gaps.__getitem__) + 1) % n
 
-    # Tangency angles in (0, 2 pi): rotate so the cut gap straddles angle 0.
-    theta = gaps[start - 1] / 2.0
+    half0 = gaps[start - 1] / 4.0  # theta_0 / 2
+    sin0 = math.sin(half0)
     spinors = []
     disc_curv = []
+    half = 0.0  # (theta_j - theta_0) / 2
     for j in [*range(start, n), *range(start)]:
-        r_norm = radii[j] / R
-        d_norm = 1.0 + r_norm
-        rho = _inverted(d_norm * math.cos(theta), d_norm * math.sin(theta), r_norm)[2]
-        xi, eta = _spinor_coordinates(*_disc_to_uhp(theta, rho))
-        disc_curv.append(1.0 / rho)
-        if spinors:
-            spinors.append(Spinor(xi - p0 * eta, eta))
-        else:  # translate the chain so that it starts at 0
-            spinors.append(Spinor(0.0, eta))
-            p0 = xi / eta
-        theta += gaps[j]
-    return GeometricChain(SpinorChain(tuple(spinors)), start, 1.0 / R, tuple(disc_curv))
+        disc = 2.0 + R / radii[j]
+        if disc == math.inf:
+            raise NumericFailure(f"geometric_spinor_chain: disc curvature of petal {j} overflows")
+        q = math.sqrt(disc - 1.0)
+        disc_curv.append(disc)
+        spinors.append(Spinor(q * (math.sin(half) / sin0), q * math.sin(half0 + half)))
+        half += gaps[j] / 2.0
+    try:
+        chain = SpinorChain(tuple(spinors))
+    except ValueError as exc:
+        raise NumericFailure(f"geometric_spinor_chain: {exc}") from exc
+    return GeometricChain(chain, start, 1.0 / R, tuple(disc_curv))

@@ -330,16 +330,11 @@ def invert_in_unit_circle(c: Circle) -> Circle:
     The image circle has center c/(|c|^2 - r^2) and radius r/||c|^2 - r^2|.
     Circles through the origin map to lines and are rejected.
     """
-    return Circle(*_inverted(c.cx, c.cy, c.r))
-
-
-def _inverted(cx: float, cy: float, r: float) -> tuple[float, float, float]:
-    """invert_in_unit_circle on the floats (cx, cy, r), returning the image's
-    (cx, cy, r) unchecked; raises ValueError for a circle through the origin."""
+    cx, cy, r = c.cx, c.cy, c.r
     d = cx * cx + cy * cy - r * r
     if abs(d) <= 1e-15 * (cx * cx + cy * cy + r * r):
         raise ValueError("circle passes through the origin; image is a line")
-    return cx / d, cy / d, r / abs(d)
+    return Circle(cx / d, cy / d, r / abs(d))
 
 
 def inverted_flower(layout: FlowerLayout) -> list[Circle]:

@@ -76,13 +76,6 @@ class Horocycle:
         return 1.0 / self.radius
 
 
-def _disc_radius(rho: float) -> None:
-    """Raise ValueError unless 0 < rho < 1 (a NaN fails too): the radius
-    rule of a DiscHorocycle."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"disc horocycle radius must be in (0, 1), got {rho}")
-
-
 @dataclass(frozen=True)
 class DiscHorocycle:
     """Disc-model horocycle: tangent to the unit circle at exp(i * angle)
@@ -94,7 +87,8 @@ class DiscHorocycle:
     def __post_init__(self):
         if not math.isfinite(self.tangency_angle):
             raise ValueError("tangency angle must be finite")
-        _disc_radius(self.radius)
+        if not 0.0 < self.radius < 1.0:  # a NaN fails too
+            raise ValueError(f"disc horocycle radius must be in (0, 1), got {self.radius}")
 
     @property
     def curvature(self) -> float:
@@ -132,14 +126,8 @@ def horocycle_to_spinor(h: Horocycle) -> Spinor:
     """The eta > 0 spinor of a horocycle tangent at a finite point."""
     if h.radius is None:
         raise ValueError("horocycle at infinity: choose the (xi, 0) representative directly")
-    return Spinor(*_spinor_coordinates(h.tangency, h.radius))
-
-
-def _spinor_coordinates(tangency: float, radius: float) -> tuple[float, float]:
-    """(xi, eta) of horocycle_to_spinor for the horocycle tangent at the
-    finite point `tangency` with the given radius, unchecked."""
-    eta = 1.0 / math.sqrt(2.0 * radius)
-    return tangency * eta, eta
+    eta = 1.0 / math.sqrt(2.0 * h.radius)
+    return Spinor(h.tangency * eta, eta)
 
 
 def uhp_to_disc(z: complex | float) -> complex:
@@ -180,23 +168,13 @@ def disc_horocycle_to_uhp(h: DiscHorocycle) -> Horocycle:
     for tangency angle theta and radius rho.  Horocycles tangent at angle 0
     would map to a horizontal line and are rejected.
     """
-    tangency, radius = _disc_to_uhp(h.tangency_angle, h.radius)
-    return Horocycle(tangency, radius=radius)
-
-
-def _disc_to_uhp(theta: float, rho: float) -> tuple[float, float]:
-    """(tangency, radius) of disc_horocycle_to_uhp for the disc horocycle
-    tangent at angle theta with radius rho, on floats: the one copy of the
-    closed form.  It applies the rules of both horocycle classes, so a
-    caller that builds neither still gets their ValueErrors: rho in (0, 1),
-    no tangency at 1, and a positive, finite image radius."""
-    _disc_radius(rho)
-    half = math.remainder(theta, 2.0 * math.pi) / 2.0
+    rho = h.radius
+    half = math.remainder(h.tangency_angle, 2.0 * math.pi) / 2.0
     sin_half = math.sin(half)
     if abs(sin_half) < 1e-12:
         raise ValueError("disc horocycle tangent at 1 maps to a horocycle at infinity")
     radius = rho / (2.0 * (1.0 - rho) * sin_half * sin_half)
-    return -math.cos(half) / sin_half, _positive_finite(radius, "radius")
+    return Horocycle(-math.cos(half) / sin_half, radius=radius)
 
 
 def uhp_horocycle_to_disc(h: Horocycle) -> DiscHorocycle:

@@ -10,6 +10,8 @@ import pytest
 
 from nflower.cli import main
 from nflower.document import FlowerDocument
+from nflower.formats import DEFAULT_TOLERANCE
+from nflower.hyperbolic import bracket
 
 GOLDEN_POLY_3 = "1 2 1 0\n1 2 0 1\n-1 0 2 0\n-1 0 0 0\n"
 
@@ -560,6 +562,12 @@ class TestTolerance:
         assert code == 0
         assert json.loads(out)["tolerance"] == 1e-6
 
+    def test_help_states_the_default(self, capsys):
+        # --help prints the default as a literal, beside the constant.
+        code, out, _ = run(capsys, "solve", "--help")
+        stated = re.search(r"\(default (\S+)\)", " ".join(out.split()))
+        assert code == 0 and float(stated.group(1)) == DEFAULT_TOLERANCE
+
     def test_small_positive_tolerance(self, capsys):
         code, out, _ = run(capsys, "solve", "--tol", "1e-6", "1,1,1")
         assert code == 0
@@ -752,6 +760,18 @@ class TestReadmeExamples:
         shown = text[fence + 4 : text.index("```", fence + 4)]
         assert shown == GOLDEN_POLY_3
         assert run(capsys, "polynomial", "3") == (0, shown, "")
+
+    def test_library(self):
+        text = self.README.read_text(encoding="utf-8")
+        start = text.index("```python\n", text.index("\n## Library\n")) + len("```python\n")
+        namespace = {}
+        exec(text[start : text.index("```", start)], namespace)
+        assert namespace["k"] == 6.464101615137752
+        chain, geom = namespace["chain"], namespace["geom"].chain
+        for i in (0, 1):
+            for j in range(len(chain)):
+                want = bracket(chain[i], chain[j])
+                assert bracket(geom[i], geom[j]) == pytest.approx(want, abs=1e-12)
 
 
 class TestDispatch:

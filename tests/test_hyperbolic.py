@@ -280,6 +280,11 @@ class TestDiscHorocycleMaps:
         with pytest.raises(ValueError):
             DiscHorocycle(1.0, 1.5)
 
+    def test_image_radius_that_underflows_rejected(self):
+        # At angle pi the image radius is rho / 2, and 5e-324 / 2 rounds to 0.
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            disc_horocycle_to_uhp(DiscHorocycle(math.pi, 5e-324))
+
     @pytest.mark.parametrize("angle", [math.nan, math.inf])
     def test_tangency_angle_must_be_finite(self, angle):
         with pytest.raises(ValueError, match="tangency angle must be finite"):
