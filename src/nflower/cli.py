@@ -8,22 +8,19 @@ digits; documents carry 17.
 Each subcommand imports the modules it runs when it runs, so a `solve`
 process loads `euclid` and `solve` but not the spinor, polynomial, document
 or SVG code, and `polynomial` loads no geometry.  The top level imports
-only what the parser needs.
+only what the parser needs.  The subcommands run the float kernels that the
+record classes wrap, so none loads `dataclasses`, nor `json` without JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .expansion import MAX_POLYNOMIAL_N, _relation_terms
 from .formats import DEFAULT_TOLERANCE, _filled, _term_row
-
-if TYPE_CHECKING:
-    from .document import FlowerDocument
 
 # Rows of `polynomial` per write: one write for the n <= 14 polynomials,
 # about 0.4 MB of text for the largest.
@@ -52,78 +49,75 @@ def _num(x: float) -> float:
     return float(_filled("%.12g", [x]))
 
 
+def _print_json(report: dict) -> None:
+    """A --json report; json is loaded only here, where one is written."""
+    import json
+
+    print(json.dumps(report))
+
+
 def cmd_solve(args) -> int:
-    from .solve import solve_report
+    from .solve import _solve
 
     petals = _parse_petals(args.petals)
-    rep = solve_report(petals, args.tol)
-    rel = abs(rep.residual) / rep.residual_scale
-    diff = abs(rep.polished_curvature - rep.central_curvature)
+    k0, kp, res, scale = _solve(petals, args.tol)
+    rel = abs(res) / scale
+    diff = abs(kp - k0)
     if args.json:
-        print(json.dumps({
-            "central_curvature": _num(rep.central_curvature),
-            "residual": _num(rep.residual),
+        _print_json({
+            "central_curvature": _num(k0),
+            "residual": _num(res),
             "residual_relative": _num(rel),
-            "geometric_root": _num(rep.central_curvature),
-            "equation_root": _num(rep.polished_curvature),
+            "geometric_root": _num(k0),
+            "equation_root": _num(kp),
             "root_difference": _num(diff),
-        }))
+        })
     else:
         print(_filled(
             "central curvature: %.12g\n"
             "relation residual: %.12g (relative %.12g)\n"
             "root agreement: geometric %.12g, equation %.12g, difference %.12g",
-            [rep.central_curvature, rep.residual, rel, rep.central_curvature, rep.polished_curvature, diff],
+            [k0, res, rel, k0, kp, diff],
         ))
     return 0
 
 
-def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, float, float]]:
-    """(name, passed, value, threshold) rows for a document."""
-    from .euclid import (
-        TWO_PI,
-        Circle,
-        _worst_tangency,
-        angle_sum,
-        classic_descartes_residual,
-        classic_descartes_scale,
-        four_flower_poly_residual,
-        four_flower_poly_scale,
-    )
+def _verify_checks(doc: tuple, tol: float) -> list[tuple[str, bool, float, float]]:
+    """(name, passed, value, threshold) rows for a document's checked fields
+    (n, central curvature, petal curvatures, tolerance, circles)."""
+    from .euclid import TWO_PI, _worst_tangency, angle_sum, classic_descartes_residual, classic_descartes_scale
+    from .euclid import four_flower_poly_residual, four_flower_poly_scale
     from .solve import _normalized_relation
 
+    n, k0, ks, doc_tol, circles = doc
     checks: list[tuple[str, bool, float, float]] = []
-    if doc.circles is not None:
-        central = Circle(*doc.circles[0])
-        petals = [Circle(*c) for c in doc.circles[1:]]
-        cen, adj = _worst_tangency(central, petals)
-        checks.append(("central tangency", cen <= doc.tolerance, cen, doc.tolerance))
-        checks.append(("petal adjacency", adj <= doc.tolerance, adj, doc.tolerance))
-        devs = [abs(central.curvature - doc.central_curvature) / doc.central_curvature]
-        devs += [abs(p.curvature - k) / k for p, k in zip(petals, doc.petal_curvatures)]
-        worst = max(devs)
-        checks.append(("declared curvatures", worst <= doc.tolerance, worst, doc.tolerance))
+    if circles is not None:
+        cen, adj = _worst_tangency(circles)
+        checks.append(("central tangency", cen <= doc_tol, cen, doc_tol))
+        checks.append(("petal adjacency", adj <= doc_tol, adj, doc_tol))
+        worst = max(abs(1.0 / r - k) / k for (_, _, r), k in zip(circles, (k0, *ks)))
+        checks.append(("declared curvatures", worst <= doc_tol, worst, doc_tol))
     else:
         # Without circles nothing else pins the central curvature: the
         # relation over |P| also vanishes where k0 is far too small, and
         # for n = 2 mod 4 where it is far too large.  So the half-angle gap
         # sum at the declared curvatures must be a full turn.
-        S = angle_sum(1.0 / doc.central_curvature, [1.0 / k for k in doc.petal_curvatures])
+        S = angle_sum(1.0 / k0, [1.0 / k for k in ks])
         rel = abs(S - TWO_PI) / TWO_PI
         checks.append(("angle sum", rel <= tol, rel, tol))
 
-    res, scale = _normalized_relation(doc.petal_curvatures, doc.central_curvature)
+    res, scale = _normalized_relation(ks, k0)
     rel = abs(res) / scale
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
-    if doc.n in (3, 4):
+    if n in (3, 4):
         # Both relations are homogeneous polynomials, evaluated exactly on
         # the curvatures times their common power-of-two denominator; the
         # int quotient is correctly rounded.
-        ratios = [k.as_integer_ratio() for k in (doc.central_curvature, *doc.petal_curvatures)]
+        ratios = [k.as_integer_ratio() for k in (k0, *ks)]
         D = max(den for _, den in ratios)
         ks = [num * (D // den) for num, den in ratios]
-        if doc.n == 3:
+        if n == 3:
             name = "classic 3-flower relation"
             res, scale = classic_descartes_residual(*ks), classic_descartes_scale(*ks)
         else:
@@ -135,19 +129,18 @@ def _verify_checks(doc: FlowerDocument, tol: float) -> list[tuple[str, bool, flo
 
 
 def cmd_verify(args) -> int:
-    from .document import FlowerDocument
+    from .document import _read_document
 
-    doc = FlowerDocument.from_json(_read_input(args.file))
-    checks = _verify_checks(doc, args.tol)
+    checks = _verify_checks(_read_document(_read_input(args.file)), args.tol)
     ok = all(passed for _, passed, _, _ in checks)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "passed": ok,
             "checks": [
                 {"name": name, "passed": passed, "value": _num(value), "threshold": _num(thr)}
                 for name, passed, value, thr in checks
             ],
-        }))
+        })
     else:
         lines = [f"{'PASS' if passed else 'FAIL'} {name} (value %.12g, threshold %.12g)"
                  for name, passed, _, _ in checks]
@@ -156,32 +149,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    from .document import FlowerDocument
-    from .euclid import layout_flower
+    from .document import _checked_document, _document_json
+    from .euclid import _flower_circles
 
     petals = _parse_petals(args.petals)
-    layout = layout_flower([1.0 / k for k in petals])
-    circles = [(layout.central.cx, layout.central.cy, layout.central.r)]
-    circles += [(p.cx, p.cy, p.r) for p in layout.petals]
-    doc = FlowerDocument(
-        n=len(petals),
-        central_curvature=layout.central.curvature,
-        petal_curvatures=tuple(petals),
-        tolerance=args.tol,
-        circles=tuple(circles),
-    )
-    sys.stdout.write(doc.to_json())
+    circles, _ = _flower_circles(tuple([1.0 / k for k in petals]))
+    doc = _checked_document(len(petals), 1.0 / circles[0][2], petals, args.tol, circles)
+    sys.stdout.write(_document_json(*doc))
     return 0
 
 
 def cmd_render(args) -> int:
-    from .document import FlowerDocument
+    from .document import _read_document
     from .svg import flower_svg
 
-    doc = FlowerDocument.from_json(_read_input(args.file))
-    if doc.circles is None:
+    circles = _read_document(_read_input(args.file))[4]
+    if circles is None:
         raise ValueError("document has no circles; produce it with `layout`")
-    svg = flower_svg(doc.circles)
+    svg = flower_svg(circles)
     if args.out == "-":
         sys.stdout.write(svg)
     else:
@@ -191,36 +176,31 @@ def cmd_render(args) -> int:
 
 
 def cmd_spinors(args) -> int:
-    from .descartes import m_from_normalized, spinor_recursion
     from .euclid import NumericFailure
-    from .hyperbolic import _bracket_is_minus_one, bracket
-    from .solve import solve_report
+    from .solve import _bracket_is_minus_one, _check_chain, _solve, _spinor_pairs, m_from_normalized
 
     petals = _parse_petals(args.petals)
-    rep = solve_report(petals, args.tol)
-    k0 = rep.central_curvature
+    k0 = _solve(petals, args.tol)[0]
     stage = "m_from_normalized"
     try:
         m = m_from_normalized([k / k0 for k in petals])
         stage = "spinor_recursion"
-        chain = spinor_recursion(m)
+        chain = _spinor_pairs(m)
+        _check_chain(chain)
     except ValueError as exc:  # the petals passed their check, so this is numeric
         raise NumericFailure(f"{stage}: {exc}") from exc
     if not _bracket_is_minus_one(chain[0], chain[-1], args.tol):
-        closing = bracket(chain[0], chain[-1]) + 1.0
+        closing = chain[0][0] * chain[-1][1] - chain[0][1] * chain[-1][0] + 1.0
         raise NumericFailure(f"spinor chain does not close: bracket residual {closing:.3e}")
-    rows = [
-        (j, s.xi, s.eta, m[j], 2.0 * s.eta * s.eta)
-        for j, s in enumerate(chain.spinors)
-    ]
+    rows = [(j, xi, eta, m[j], 2.0 * eta * eta) for j, (xi, eta) in enumerate(chain)]
     if args.json:
-        print(json.dumps({
+        _print_json({
             "central_curvature": _num(k0),
             "spinors": [
                 {"j": j, "xi": _num(x), "eta": _num(e), "m": _num(mv), "flat_curvature": _num(fc)}
                 for j, x, e, mv, fc in rows
             ],
-        }))
+        })
     else:
         head = f"central curvature: %.12g\n{'j':>3} {'xi':>18} {'eta':>18} {'m':>18} {'flat_curv':>18}"
         lines = [head, *[f"{j:>3} %18.12g %18.12g %18.12g %18.12g" for j, *_ in rows]]

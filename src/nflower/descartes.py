@@ -39,10 +39,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from .euclid import NumericFailure, _checked_petals, _solved_flower
 from .expansion import MAX_POLYNOMIAL_N, _relation_terms
-from .hyperbolic import Spinor, _bracket_is_minus_one, bracket
+from .hyperbolic import Spinor, bracket
 
-# Re-exported, with MAX_POLYNOMIAL_N above: the names of the solve path.
-from .solve import CentralSolve, _normalized_relation, solve_central_curvature, solve_report
+# Re-exported, with MAX_POLYNOMIAL_N above: the solve path and the m-variables.
+from .solve import CentralSolve, _normalized_relation, m_from_normalized, solve_central_curvature
+from .solve import _check_chain, _spinor_pairs, solve_report
 
 if TYPE_CHECKING:
     from .polynomial import PolynomialZZ
@@ -51,8 +52,6 @@ if TYPE_CHECKING:
 # process: n = 3..12 together, with their serialized text, hold about 0.45 MB
 # (tracemalloc), while n = 14 alone would hold 1.0 MB and n = 18 18.8 MB.
 _KEPT_N = 12
-
-_BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,17 +67,7 @@ class SpinorChain:
 
     def __post_init__(self):
         object.__setattr__(self, "spinors", tuple(self.spinors))
-        s = self.spinors
-        if len(s) < 3:
-            raise ValueError("a chain needs at least 3 spinors")
-        if abs(s[0].xi) > _BRACKET_TOL * max(1.0, abs(s[0].eta)):
-            raise ValueError(f"chain must start at tangency 0, got xi_0 = {s[0].xi}")
-        if s[0].eta <= 0.0:
-            raise ValueError("eta_0 must be positive")
-        for j in range(len(s) - 1):
-            if not _bracket_is_minus_one(s[j], s[j + 1], _BRACKET_TOL):
-                b = bracket(s[j], s[j + 1])
-                raise ValueError(f"consecutive bracket {j},{j + 1} is {b}, expected -1")
+        _check_chain([(s.xi, s.eta) for s in self.spinors])
 
     def __len__(self) -> int:
         return len(self.spinors)
@@ -100,23 +89,6 @@ def _m_values(m: Sequence[float], minimum: int = 3) -> tuple[float, ...]:
     if len(vals) < minimum:
         raise ValueError(f"need at least {minimum} m-variables, got {len(vals)}")
     return vals
-
-
-def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
-    """m-variables of normalized petal curvatures (central curvature 1);
-    a negative radicand or a non-finite value raises ValueError."""
-    ps = [k + 1.0 for k in map(float, kappas)]
-    if len(ps) < 3:
-        raise ValueError("need at least 3 petal curvatures")
-    rads = [ps[0]] + [a * b - 1.0 for a, b in zip(ps[1:], ps)]
-    for j, rad in enumerate(rads):
-        if rad < 0.0:
-            raise ValueError(f"negative radicand {rad} at index {j}")
-    m = tuple(map(math.sqrt, rads))
-    for v in m:
-        if not math.isfinite(v):
-            raise ValueError(f"m-variables must be finite and >= 0, got {v}")
-    return m
 
 
 def kappa_plus_one(m: Sequence[float], j: int) -> float:
@@ -267,16 +239,7 @@ def spinor_recursion(m: Sequence[float]) -> SpinorChain:
     ordinary step.  Later eta_j can come out negative, which is recorded,
     not corrected.
     """
-    vals = _m_values(m)
-    if vals[0] == 0.0:
-        raise NumericFailure("degenerate chain: m_0 = 0 gives eta_0 = 0")
-    xi, eta = 0.0, vals[0]
-    spinors = [Spinor(xi, eta)]
-    for mj in vals[1:]:
-        g = xi * xi + eta * eta
-        xi, eta = (mj * xi + eta) / g, (mj * eta - xi) / g
-        spinors.append(Spinor(xi, eta))
-    return SpinorChain(tuple(spinors))
+    return SpinorChain(tuple(_spinor_pairs(_m_values(m), Spinor)))
 
 
 def eta_closed_form(m: Sequence[float], j: int) -> float:

@@ -2,16 +2,15 @@
 
 Serialization is deterministic: fixed key order, floats at 17 significant
 digits (exact round trip), no timestamps.  Reports elsewhere display 12
-significant digits; documents keep full precision.
+significant digits; documents keep full precision.  FlowerDocument, in
+`_records`, is the record over the field tuple these functions work on.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
-from .euclid import _checked_petals, _check_reciprocal, _positive_finite
+from .euclid import _checked_petals, _check_reciprocal, _positive_finite, _records_getattr
 from .formats import DEFAULT_TOLERANCE, _filled
 
 
@@ -70,71 +69,69 @@ def _checked_circles(circles, count: int) -> tuple[tuple[float, float, float], .
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FlowerDocument:
-    """A solved flower: curvatures, tolerance, and optionally the realized
-    circles (central first, then petals in order)."""
+def _checked_document(n, central_curvature, petal_curvatures, tolerance, circles) -> tuple:
+    """The fields, checked, with the petal curvatures and circles as float tuples."""
+    _integer(n, "n")
+    if n < 3 or n != len(petal_curvatures):
+        raise ValueError("n must be >= 3 and match the petal curvature count")
+    petal_curvatures = tuple(_checked_petals(petal_curvatures))
+    _positive_finite(central_curvature, "central curvature")
+    _check_reciprocal(central_curvature, "central curvature")
+    _positive_finite(tolerance, "tolerance")
+    if circles is not None:
+        circles = _checked_circles(circles, n + 1)
+    return n, central_curvature, petal_curvatures, tolerance, circles
 
-    n: int
-    central_curvature: float
-    petal_curvatures: tuple[float, ...]
-    tolerance: float = DEFAULT_TOLERANCE
-    circles: tuple[tuple[float, float, float], ...] | None = None
 
-    def __post_init__(self):
-        n = _integer(self.n, "n")
-        if n < 3 or n != len(self.petal_curvatures):
-            raise ValueError("n must be >= 3 and match the petal curvature count")
-        object.__setattr__(self, "petal_curvatures", tuple(_checked_petals(self.petal_curvatures)))
-        _positive_finite(self.central_curvature, "central curvature")
-        _check_reciprocal(self.central_curvature, "central curvature")
-        _positive_finite(self.tolerance, "tolerance")
-        if self.circles is not None:
-            object.__setattr__(self, "circles", _checked_circles(self.circles, n + 1))
+def _document_json(n, central_curvature, petal_curvatures, tolerance, circles) -> str:
+    """The checked fields as JSON text: one template, filled once."""
+    values = [central_curvature, *petal_curvatures, tolerance]
+    tail = "\n"
+    if circles is not None:
+        rows = "    [%.17g, %.17g, %.17g],\n" * n + "    [%.17g, %.17g, %.17g]"
+        tail = f',\n  "circles": [\n{rows}\n  ]\n'
+        for c in circles:
+            values += c
+    petals = "%.17g, " * (n - 1) + "%.17g"
+    template = (
+        f'{{\n  "n": {n},\n  "central_curvature": %.17g,\n'
+        f'  "petal_curvatures": [{petals}],\n  "tolerance": %.17g{tail}}}\n'
+    )
+    return _filled(template, values)
 
-    def to_json(self) -> str:
-        """The document as JSON text: one template, filled once."""
-        n = self.n
-        values = [self.central_curvature, *self.petal_curvatures, self.tolerance]
-        tail = "\n"
-        if self.circles is not None:
-            rows = "    [%.17g, %.17g, %.17g],\n" * n + "    [%.17g, %.17g, %.17g]"
-            tail = f',\n  "circles": [\n{rows}\n  ]\n'
-            for c in self.circles:
-                values += c
-        petals = "%.17g, " * (n - 1) + "%.17g"
-        template = (
-            f'{{\n  "n": {n},\n  "central_curvature": %.17g,\n'
-            f'  "petal_curvatures": [{petals}],\n  "tolerance": %.17g{tail}}}\n'
+
+def _read_document(text: str, make=_checked_document):
+    """make(*fields) of a document's JSON text: _checked_document's tuple,
+    or the record of FlowerDocument.from_json.  Only a reader loads json."""
+    import json
+
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("document must be a JSON object")
+    try:
+        n, central, petals = raw["n"], raw["central_curvature"], raw["petal_curvatures"]
+    except KeyError as exc:
+        raise ValueError(f"bad document fields: missing {exc}") from exc
+    _integer(n, "n")  # _checked_document's rule, here so that n is reported first
+    circles = raw.get("circles")
+    if circles is not None:
+        if type(circles) is not list:
+            raise ValueError(f"circles: expected a JSON array, got {circles!r}")
+        circles = [_numbers(c, "circle") for c in circles]
+    # The check turns the petal curvatures and circles into floats.
+    try:
+        return make(
+            n,
+            _number(central, "central_curvature"),
+            _numbers(petals, "petal_curvatures"),
+            _number(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance"),
+            circles,
         )
-        return _filled(template, values)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"bad document fields: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "FlowerDocument":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError("document must be a JSON object")
-        try:
-            n, central, petals = raw["n"], raw["central_curvature"], raw["petal_curvatures"]
-        except KeyError as exc:
-            raise ValueError(f"bad document fields: missing {exc}") from exc
-        _integer(n, "n")  # __post_init__'s rule, here so that n is reported first
-        circles = raw.get("circles")
-        if circles is not None:
-            if type(circles) is not list:
-                raise ValueError(f"circles: expected a JSON array, got {circles!r}")
-            circles = [_numbers(c, "circle") for c in circles]
-        # __post_init__ turns the petal curvatures and circles into floats.
-        try:
-            return cls(
-                n,
-                _number(central, "central_curvature"),
-                _numbers(petals, "petal_curvatures"),
-                _number(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance"),
-                circles,
-            )
-        except OverflowError as exc:  # a JSON integer beyond the float range
-            raise ValueError(f"bad document fields: {exc}") from exc
+
+__getattr__ = _records_getattr(__name__, ("FlowerDocument",))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,43 +28,23 @@ class NumericFailure(ArithmeticError):
     produced a result that violates a cross-check."""
 
 
-@dataclass(frozen=True)
-class Circle:
-    """Circle in the Euclidean plane by center (cx, cy) and radius r > 0."""
+def _records_getattr(module: str, names: tuple[str, ...]):
+    """The PEP 562 __getattr__ of `module` for its record classes `names`.
+    Its functions look them up on the module, sys.modules[__name__], so
+    `_records` is imported once, not on each call."""
 
-    cx: float
-    cy: float
-    r: float
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from . import _records
 
-    def __post_init__(self):
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
-            raise ValueError("circle centre must be finite")
-        _positive_finite(self.r, "circle radius")
+        value = vars(sys.modules[module])[name] = getattr(_records, name)
+        return value
 
-    @property
-    def curvature(self) -> float:
-        return 1.0 / self.r
-
-    def center_distance(self, other: "Circle") -> float:
-        return math.hypot(self.cx - other.cx, self.cy - other.cy)
+    return __getattr__
 
 
-@dataclass(frozen=True)
-class FlowerLayout:
-    """A realized flower: central circle, petals in cyclic order, and the
-    central angles between consecutive petal centers."""
-
-    central: Circle
-    petals: tuple[Circle, ...]
-    gap_angles: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "petals", tuple(self.petals))
-        object.__setattr__(self, "gap_angles", tuple(map(float, self.gap_angles)))
-        if len(self.petals) < 3:
-            raise ValueError("a flower needs at least 3 petals")
-        if len(self.gap_angles) != len(self.petals):
-            raise ValueError("need one gap angle per petal")
+__getattr__ = _records_getattr(__name__, ("Circle", "FlowerLayout"))
 
 
 # Petal curvatures and radii lie in [_SMALLEST, _LARGEST], a range that
@@ -265,23 +244,31 @@ def _solved_flower(radii: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
     return R, _gap_angles(R, radii)
 
 
+def _flower_circles(radii: tuple[float, ...]) -> tuple[list[tuple[float, float, float]], tuple[float, ...]]:
+    """layout_flower's circles as (cx, cy, r) triples, central first, and its
+    gap angles, for a tuple of float radii: what `nflower layout` writes."""
+    R, gaps = _solved_flower(radii)
+    circles = [(0.0, 0.0, R)]
+    theta = 0.0
+    for j, r in enumerate(radii):
+        d = R + r
+        if d == math.inf:
+            raise NumericFailure(f"central radius {R!r} plus petal radius {r!r} overflows")
+        circles.append((d * math.cos(theta), d * math.sin(theta), r))
+        theta += gaps[j]
+    return circles, gaps
+
+
 def layout_flower(petal_radii: Sequence[float]) -> FlowerLayout:
     """Lay out the flower with the central circle at the origin.
 
     Petal j sits at polar angle sum(gap_angles[:j]) and distance R + r_j;
     where that distance overflows, NumericFailure names R and r_j.
     """
-    radii = tuple([float(r) for r in petal_radii])  # checked by the solve
-    R, gaps = _solved_flower(radii)
-    petals = []
-    theta = 0.0
-    for j, r in enumerate(radii):
-        d = R + r
-        if d == math.inf:
-            raise NumericFailure(f"central radius {R!r} plus petal radius {r!r} overflows")
-        petals.append(Circle(d * math.cos(theta), d * math.sin(theta), r))
-        theta += gaps[j]
-    return FlowerLayout(Circle(0.0, 0.0, R), tuple(petals), gaps)
+    circles, gaps = _flower_circles(tuple([float(r) for r in petal_radii]))  # checked by the solve
+    records = sys.modules[__name__]
+    central, *petals = [records.Circle(*c) for c in circles]
+    return records.FlowerLayout(central, tuple(petals), gaps)
 
 
 def tangency_residuals(central: Circle, petals: Sequence[Circle]) -> tuple[list[float], list[float]]:
@@ -290,36 +277,38 @@ def tangency_residuals(central: Circle, petals: Sequence[Circle]) -> tuple[list[
     Returns (central tangency residuals, consecutive petal tangency residuals
     including the wrap-around pair); all are zero for an exact flower.
     """
-    n = len(petals)
-    cen = [central.center_distance(p) - (central.r + p.r) for p in petals]
-    adj = [
-        petals[j].center_distance(petals[(j + 1) % n]) - (petals[j].r + petals[(j + 1) % n].r)
-        for j in range(n)
-    ]
+    return _tangency_residuals([(c.cx, c.cy, c.r) for c in (central, *petals)])
+
+
+def _tangency_residuals(circles) -> tuple[list[float], list[float]]:
+    """tangency_residuals of circles given as (cx, cy, r), central first."""
+    (x0, y0, R), *petals = circles
+    cen = [math.hypot(x0 - x, y0 - y) - (R + r) for x, y, r in petals]
+    pairs = zip(petals, [*petals[1:], petals[0]])
+    adj = [math.hypot(xa - xb, ya - yb) - (ra + rb) for (xa, ya, ra), (xb, yb, rb) in pairs]
     return cen, adj
 
 
-def _worst_tangency(central: Circle, petals: Sequence[Circle]) -> tuple[float, float]:
-    """Largest central and neighbour tangency residuals, divided by R + r_j
-    and R + r_a + r_b: far petals' Cartesian centres lose digits to their
-    distance from the origin, so r_a + r_b alone is too small a scale."""
-    if max(c.r for c in (central, *petals)) > 2.0**1020:
+def _worst_tangency(circles) -> tuple[float, float]:
+    """Largest central and neighbour tangency residuals of (cx, cy, r) triples,
+    central first, over R + r_j and R + r_a + r_b: far petals' Cartesian centres
+    lose digits to their distance from the origin, so r_a + r_b is too small."""
+    if max(r for _, _, r in circles) > 2.0**1020:
         # Far centres' differences and radius sums would overflow, and every
         # residual over its scale is homogeneous, so take a quarter scale.  A
         # radius that underflows to 0 keeps its value, far below every scale.
-        central, *petals = [Circle(c.cx * 0.25, c.cy * 0.25, c.r * 0.25 or c.r)
-                            for c in (central, *petals)]
-    cen, adj = tangency_residuals(central, petals)
-    R, n = central.r, len(petals)
-    worst_cen = max(abs(x) / (R + p.r) for x, p in zip(cen, petals))
-    worst_adj = max(abs(x) / (R + petals[j].r + petals[(j + 1) % n].r) for j, x in enumerate(adj))
+        circles = [(cx * 0.25, cy * 0.25, r * 0.25 or r) for cx, cy, r in circles]
+    cen, adj = _tangency_residuals(circles)
+    R, petals = circles[0][2], [r for _, _, r in circles[1:]]
+    worst_cen = max(abs(x) / (R + r) for x, r in zip(cen, petals))
+    worst_adj = max(abs(x) / (R + ra + rb) for x, ra, rb in zip(adj, petals, [*petals[1:], petals[0]]))
     return worst_cen, worst_adj
 
 
 def validate_flower(layout: FlowerLayout) -> bool:
     """Check the relative tangency residuals (as `verify` does) and the
     gap-angle sum of a layout to TANGENCY_TOL."""
-    cen, adj = _worst_tangency(layout.central, layout.petals)
+    cen, adj = _worst_tangency([(c.cx, c.cy, c.r) for c in (layout.central, *layout.petals)])
     gap = abs(sum(layout.gap_angles) - TWO_PI)
     return cen <= TANGENCY_TOL and adj <= TANGENCY_TOL and gap <= TANGENCY_TOL
 
@@ -334,7 +323,7 @@ def invert_in_unit_circle(c: Circle) -> Circle:
     d = cx * cx + cy * cy - r * r
     if abs(d) <= 1e-15 * (cx * cx + cy * cy + r * r):
         raise ValueError("circle passes through the origin; image is a line")
-    return Circle(cx / d, cy / d, r / abs(d))
+    return sys.modules[__name__].Circle(cx / d, cy / d, r / abs(d))
 
 
 def inverted_flower(layout: FlowerLayout) -> list[Circle]:

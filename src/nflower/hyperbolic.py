@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .euclid import _positive_finite
+from .solve import _bracket_is_minus_one as _pairs_bracket_is_minus_one, _checked_spinor
 
 INF = math.inf
 
@@ -37,10 +38,7 @@ class Spinor:
     eta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.xi) and math.isfinite(self.eta)):
-            raise ValueError("spinor components must be finite")
-        if self.xi == 0.0 and self.eta == 0.0:
-            raise ValueError("the zero pair is not a spinor")
+        _checked_spinor(self.xi, self.eta)
 
     def __neg__(self) -> "Spinor":
         return Spinor(-self.xi, -self.eta)
@@ -105,13 +103,8 @@ def bracket(a: Spinor, b: Spinor) -> float:
 
 
 def _bracket_is_minus_one(a: Spinor, b: Spinor, tol: float) -> bool:
-    """Whether bracket(a, b) is -1 within tol times max(1, |z_a||z_b|) for
-    z = xi + i eta, the scale of the bracket's rounding; False for a NaN or
-    infinite residual, which a product past the float range leaves.  The
-    scale is formed only past the absolute test.  The determinant is
-    bracket's, written out."""
-    d = abs(a.xi * b.eta - a.eta * b.xi + 1.0)
-    return d <= tol or (d < INF and d <= tol * math.hypot(a.xi, a.eta) * math.hypot(b.xi, b.eta))
+    """solve._bracket_is_minus_one of two spinors."""
+    return _pairs_bracket_is_minus_one((a.xi, a.eta), (b.xi, b.eta), tol)
 
 
 def spinor_to_horocycle(s: Spinor) -> Horocycle:

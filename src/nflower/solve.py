@@ -1,8 +1,10 @@
 """The central curvature solve: the geometric root, checked by the relation.
 
 This is the path of `solve_report` and `nflower solve`, apart from the rest
-of the relation layer (`descartes`), so that a solve imports only `euclid`.
-`descartes` re-exports every name here.
+of the relation layer (`descartes`), so that a solve imports only `euclid`;
+with the m-variables and their spinor chain, it is all `nflower spinors`
+runs.  The command line calls the float kernels; `solve_report` wraps the
+solve's tuple in CentralSolve (`_records`).  `descartes` re-exports them.
 
 The relation divided by |P| is sin(theta) - t, with theta summing
 atan2(1, m_j) over the m-variables m_j = sqrt((k_j + 1)(k_{j-1} + 1) - 1)
@@ -15,14 +17,14 @@ bisection runs on and that `verify` evaluates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Sequence
 
 # solve_central_radius is looked up on the module at each call, so that a
 # caller who replaces euclid.solve_central_radius (a tracer, a test) sees
 # the calls made here too.
 from . import euclid
-from .euclid import NumericFailure, _checked_petals, _positive_finite
+from .euclid import NumericFailure, _checked_petals, _positive_finite, _records_getattr
 from .formats import DEFAULT_TOLERANCE
 
 
@@ -49,16 +51,6 @@ def _normalized_relation(petals: Sequence[float], k: float) -> tuple[float, floa
     return math.sin(theta) - t, 1.0 + t
 
 
-@dataclass(frozen=True)
-class CentralSolve:
-    """Central curvature of a flower with its cross-check data."""
-
-    central_curvature: float  # geometric (angle-sum) root
-    polished_curvature: float  # root of the relation residual
-    residual: float  # relation over |P| at the geometric root: sin(theta) - t
-    residual_scale: float  # term magnitude over |P|: 1 + t, in (1, 2]
-
-
 def solve_report(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> CentralSolve:
     """Solve for the central curvature and verify it two ways.
 
@@ -74,6 +66,11 @@ def solve_report(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> Cen
     NumericFailure, and +-inf would count by its sign.  An exact zero at a
     bracket end or a midpoint is the root.
     """
+    return sys.modules[__name__].CentralSolve(*_solve(petals, tol))
+
+
+def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, float]:
+    """solve_report's fields as a tuple, for the command line: no record."""
     ks = _checked_petals(petals)
     _positive_finite(tol, "tol")
 
@@ -119,9 +116,80 @@ def solve_report(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> Cen
     kp = mid / down
     if abs(kp - k0) > tol * k0:
         raise NumericFailure(f"geometric and relation roots disagree: {k0!r} vs {kp!r}")
-    return CentralSolve(k0, kp, res, scale)
+    return k0, kp, res, scale
 
 
 def solve_central_curvature(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> float:
     """Central curvature of the flower with the given petal curvatures."""
     return solve_report(petals, tol).central_curvature
+
+
+def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
+    """m-variables of normalized petal curvatures (central curvature 1);
+    a negative radicand or a non-finite value raises ValueError."""
+    ps = [k + 1.0 for k in map(float, kappas)]
+    if len(ps) < 3:
+        raise ValueError("need at least 3 petal curvatures")
+    rads = [ps[0]] + [a * b - 1.0 for a, b in zip(ps[1:], ps)]
+    for j, rad in enumerate(rads):
+        if rad < 0.0:
+            raise ValueError(f"negative radicand {rad} at index {j}")
+    m = tuple(map(math.sqrt, rads))
+    for v in m:
+        if not math.isfinite(v):
+            raise ValueError(f"m-variables must be finite and >= 0, got {v}")
+    return m
+
+
+# The chain on (xi, eta) pairs, and the checks of Spinor and SpinorChain.
+_BRACKET_TOL = 1e-9  # relative tolerance of a chain's consecutive brackets
+
+
+def _checked_spinor(xi: float, eta: float) -> tuple[float, float]:
+    """(xi, eta), unless a component is not finite or both are 0."""
+    if not (math.isfinite(xi) and math.isfinite(eta)):
+        raise ValueError("spinor components must be finite")
+    if xi == 0.0 and eta == 0.0:
+        raise ValueError("the zero pair is not a spinor")
+    return xi, eta
+
+
+def _bracket_is_minus_one(a: tuple[float, float], b: tuple[float, float], tol: float) -> bool:
+    """Whether the bracket xi_a eta_b - eta_a xi_b of two pairs is -1 within
+    tol times max(1, |z_a||z_b|), z = xi + i eta, the scale of its rounding;
+    False for a NaN or infinite residual.  The scale is formed last."""
+    (xa, ea), (xb, eb) = a, b
+    d = abs(xa * eb - ea * xb + 1.0)
+    return d <= tol or (d < math.inf and d <= tol * math.hypot(xa, ea) * math.hypot(xb, eb))
+
+
+def _check_chain(pairs: Sequence[tuple[float, float]]) -> None:
+    """Raise ValueError on the first rule of descartes.SpinorChain the pairs break."""
+    if len(pairs) < 3:
+        raise ValueError("a chain needs at least 3 spinors")
+    xi0, eta0 = pairs[0]
+    if abs(xi0) > _BRACKET_TOL * max(1.0, abs(eta0)):
+        raise ValueError(f"chain must start at tangency 0, got xi_0 = {xi0}")
+    if eta0 <= 0.0:
+        raise ValueError("eta_0 must be positive")
+    for j, (a, b) in enumerate(zip(pairs, pairs[1:])):
+        if not _bracket_is_minus_one(a, b, _BRACKET_TOL):
+            raise ValueError(f"consecutive bracket {j},{j + 1} is {a[0] * b[1] - a[1] * b[0]}, expected -1")
+
+
+def _spinor_pairs(m: tuple[float, ...], make=_checked_spinor) -> list:
+    """make(xi, eta) of each spinor of descartes.spinor_recursion, for 3 or
+    more float m-variables, as it is formed: a checked pair, or the Spinor
+    record, which runs the same check."""
+    if m[0] == 0.0:
+        raise NumericFailure("degenerate chain: m_0 = 0 gives eta_0 = 0")
+    xi, eta = 0.0, m[0]
+    spinors = [make(xi, eta)]
+    for mj in m[1:]:
+        g = xi * xi + eta * eta
+        xi, eta = (mj * xi + eta) / g, (mj * eta - xi) / g
+        spinors.append(make(xi, eta))
+    return spinors
+
+
+__getattr__ = _records_getattr(__name__, ("CentralSolve",))

@@ -482,10 +482,8 @@ class TestReportsPrintNoMinusZero:
     """Every report number goes through one formatter, which prints -0 as 0."""
 
     def test_solve(self, capsys, monkeypatch):
-        from nflower.descartes import CentralSolve
-
-        rep = CentralSolve(6.5, 6.5, -0.0, 1.0)
-        monkeypatch.setattr("nflower.solve.solve_report", lambda petals, tol: rep)
+        rep = (6.5, 6.5, -0.0, 1.0)  # solve_report's fields, as cmd_solve's kernel returns them
+        monkeypatch.setattr("nflower.solve._solve", lambda petals, tol: rep)
         code, out, _ = run(capsys, "solve", "1,1,1")
         assert (code, out) == (0, (
             "central curvature: 6.5\n"
@@ -506,14 +504,13 @@ class TestReportsPrintNoMinusZero:
         assert (code, out) == (0, "PASS descartes relation (value 0, threshold 1e-09)\n")
 
     def test_spinors(self, capsys, monkeypatch):
-        from nflower.descartes import SpinorChain, spinor_recursion
-        from nflower.hyperbolic import Spinor
+        from nflower.solve import _spinor_pairs
 
-        def chain_from_minus_zero(m):
-            first, *rest = spinor_recursion(m).spinors
-            return SpinorChain((Spinor(-0.0, first.eta), *rest))
+        def chain_from_minus_zero(m):  # cmd_spinors' chain, as (xi, eta) pairs
+            (_, eta), *rest = _spinor_pairs(m)
+            return [(-0.0, eta), *rest]
 
-        monkeypatch.setattr("nflower.descartes.spinor_recursion", chain_from_minus_zero)
+        monkeypatch.setattr("nflower.solve._spinor_pairs", chain_from_minus_zero)
         code, out, _ = run(capsys, "spinors", "1,1,1")
         assert code == 0
         row = out.splitlines()[2]
@@ -642,11 +639,11 @@ class TestSpinors:
         assert code == 2
 
     def test_open_chain_exits_3(self, capsys, monkeypatch):
-        from nflower.descartes import spinor_recursion
+        from nflower.solve import _spinor_pairs
 
         # the chain of a non-flower: closing bracket -sqrt(3) instead of -1
-        open_chain = spinor_recursion((math.sqrt(2.0), math.sqrt(3.0), math.sqrt(3.0)))
-        monkeypatch.setattr("nflower.descartes.spinor_recursion", lambda m: open_chain)
+        open_chain = _spinor_pairs((math.sqrt(2.0), math.sqrt(3.0), math.sqrt(3.0)))
+        monkeypatch.setattr("nflower.solve._spinor_pairs", lambda m: open_chain)
         code, out, err = run(capsys, "spinors", "1,1,1")
         assert code == 3 and out == ""
         assert "does not close" in err
@@ -690,7 +687,7 @@ class TestSpinors:
         def explode(m):
             raise ValueError("spinor components must be finite")
 
-        monkeypatch.setattr("nflower.descartes.spinor_recursion", explode)
+        monkeypatch.setattr("nflower.solve._spinor_pairs", explode)
         assert run(capsys, "spinors", "1,1,1") == (
             3, "", "numeric failure: spinor_recursion: spinor components must be finite\n"
         )
@@ -790,7 +787,7 @@ class TestDispatch:
         def explode(petals, tol):
             raise NumericFailure("roots disagree")
 
-        monkeypatch.setattr("nflower.solve.solve_report", explode)
+        monkeypatch.setattr("nflower.solve._solve", explode)
         code, _, err = run(capsys, "solve", "1,1,1")
         assert code == 3
         assert "numeric failure" in err
@@ -799,7 +796,7 @@ class TestDispatch:
         def explode(petals, tol):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr("nflower.solve.solve_report", explode)
+        monkeypatch.setattr("nflower.solve._solve", explode)
         code, _, err = run(capsys, "solve", "1,1,1")
         assert code == 3
         assert err.startswith("numeric failure")
@@ -817,3 +814,30 @@ class TestDispatch:
         )
         assert proc.returncode == 0
         assert "central curvature: 6.46410161514" in proc.stdout
+
+
+class TestExitCodeContract:
+    """Valid petals get an answer (exit 0) or a typed numeric failure
+    (exit 3): never the usage code 2, an exception out of `main` or a
+    traceback.  `layout` may exit 0 where `solve` refuses; that is not
+    judged here."""
+
+    SPREADS = (0.5, 1, 2, 4, 8, 12, 20, 50, 100, 150, 200, 300)
+
+    def test_valid_petals_never_exit_2(self, capsys):
+        rng = random.Random(20261020)
+        codes = {command: [] for command in ("solve", "layout", "spinors")}
+        for i in range(200):
+            spread = self.SPREADS[i % len(self.SPREADS)]
+            n = rng.choice((3, 4, 5, 7, 12, 40, 100, 200))
+            petals = ",".join(repr(10.0 ** rng.uniform(-spread, spread)) for _ in range(n))
+            for command, seen in codes.items():
+                code, out, err = run(capsys, command, petals)
+                assert "Traceback" not in err
+                if code == 3:
+                    assert out == "" and err.startswith("numeric failure: "), (command, petals, err)
+                else:
+                    assert code == 0 and err == "", (command, petals, code, err)
+                seen.append(code)
+        # Every command answers most flowers; the rest are exit 3.
+        assert all(seen.count(0) >= 100 for seen in codes.values()), codes

@@ -1,6 +1,7 @@
 """The package's start-up: the names `nflower` exports resolve on first use,
 and each command line process loads only the modules its subcommand runs."""
 
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -119,17 +120,87 @@ class TestChildImports:
             (["layout", "1,2,3"], {"descartes", "hyperbolic", "polynomial", "solve", "svg"}),
             (["render", "-", "-"], {"descartes", "hyperbolic", "polynomial", "solve"}),
             (["polynomial", "5"], {"euclid", "descartes", "polynomial", "document"}),
+            (["verify", "-"], {"descartes", "hyperbolic", "polynomial", "svg"}),
+            (["spinors", "1,1,1"], {"descartes", "document", "hyperbolic", "polynomial", "svg"}),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else None,
     )
     def test_subcommand_loads_only_what_it_runs(self, argv, absent):
-        stdin = layout_document() if argv[0] == "render" else None
+        stdin = layout_document() if argv[0] in ("verify", "render") else None
         rc, out, modules = loaded(PROBE, *argv, stdin=stdin)
         assert rc == 0 and out
         assert "nflower" in modules
         assert not {f"nflower.{m}" for m in absent} & modules
+        # The subcommands run float kernels: no record class is built.
+        assert not {"nflower._records", "dataclasses", "inspect"} & modules
+        if argv[0] in ("solve", "layout", "spinors", "polynomial"):  # no JSON read or written
+            assert "json" not in modules
 
     def test_polynomial_loads_no_dataclasses(self):
         rc, _, modules = loaded(PROBE, "polynomial", "5")
         assert rc == 0
         assert "dataclasses" not in modules
+
+
+# Each record class: the module that exports it through the package, and
+# its fields, in order.
+RECORDS = {
+    "Circle": ("euclid", ("cx", "cy", "r")),
+    "FlowerLayout": ("euclid", ("central", "petals", "gap_angles")),
+    "CentralSolve": ("solve", ("central_curvature", "polished_curvature", "residual", "residual_scale")),
+    "FlowerDocument": ("document", ("n", "central_curvature", "petal_curvatures", "tolerance", "circles")),
+    "Spinor": ("hyperbolic", ("xi", "eta")),
+    "Horocycle": ("hyperbolic", ("tangency", "radius", "height")),
+    "DiscHorocycle": ("hyperbolic", ("tangency_angle", "radius")),
+    "SpinorChain": ("descartes", ("spinors",)),
+    "ParallelogramInvariants": ("descartes", ("areas", "closing_area", "dots")),
+    "GeometricChain": ("descartes", ("chain", "start", "central_curvature", "disc_curvatures")),
+    "PolynomialZZ": ("polynomial", ("nvars", "terms")),
+}
+
+
+def record(name):
+    """An instance of the record class `name`, built through the library."""
+    from nflower import (
+        Circle, DiscHorocycle, FlowerDocument, Horocycle, Spinor, descartes_polynomial,
+        geometric_spinor_chain, layout_flower, parallelogram_invariants, solve_report,
+    )
+
+    chain = geometric_spinor_chain([1.0, 2.0, 3.0])
+    return {
+        "Circle": lambda: Circle(0.0, 0.0, 1.0),
+        "FlowerLayout": lambda: layout_flower([1.0, 0.5, 0.25]),
+        "CentralSolve": lambda: solve_report([1.0, 2.0, 3.0]),
+        "FlowerDocument": lambda: FlowerDocument(3, 6.5, (1.0, 1.0, 1.0)),
+        "Spinor": lambda: Spinor(0.0, 1.0),
+        "Horocycle": lambda: Horocycle(0.0, radius=1.0),
+        "DiscHorocycle": lambda: DiscHorocycle(0.0, 0.5),
+        "SpinorChain": lambda: chain.chain,
+        "ParallelogramInvariants": lambda: parallelogram_invariants(chain.chain),
+        "GeometricChain": lambda: chain,
+        "PolynomialZZ": lambda: descartes_polynomial(3),
+    }[name]()
+
+
+class TestRecordClasses:
+    """The record classes stay frozen dataclasses with the same fields, under
+    every name they are exported by, wherever they are defined."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_frozen_dataclass_with_its_fields(self, name):
+        value = record(name)
+        cls = type(value)
+        assert dataclasses.is_dataclass(cls)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == RECORDS[name][1]
+        for field in RECORDS[name][1]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, None)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_one_class_under_every_name(self, name):
+        home = RECORDS[name][0]
+        namespace = {}
+        exec(f"from nflower.{home} import {name}", namespace)
+        cls = getattr(nflower, name)
+        assert cls is getattr(importlib.import_module(f"nflower.{home}"), name) is namespace[name]
+        assert type(record(name)) is cls
