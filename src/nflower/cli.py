@@ -19,8 +19,7 @@ import sys
 from itertools import islice
 from typing import Sequence
 
-from .expansion import MAX_POLYNOMIAL_N, _relation_terms
-from .formats import DEFAULT_TOLERANCE, _filled, _term_row
+from .formats import DEFAULT_TOLERANCE, MAX_POLYNOMIAL_N, _filled, _relation_terms, _term_row
 
 # Rows of `polynomial` per write: one write for the n <= 14 polynomials,
 # about 0.4 MB of text for the largest.
@@ -149,13 +148,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    from .document import _checked_document, _document_json
+    from .document import _document_json
     from .euclid import _flower_circles
 
     petals = _parse_petals(args.petals)
     circles, _ = _flower_circles(tuple([1.0 / k for k in petals]))
-    doc = _checked_document(len(petals), 1.0 / circles[0][2], petals, args.tol, circles)
-    sys.stdout.write(_document_json(*doc))
+    sys.stdout.write(_document_json(len(petals), 1.0 / circles[0][2], petals, args.tol, circles))
     return 0
 
 

@@ -35,18 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .euclid import NumericFailure, _checked_petals, _solved_flower
-from .expansion import MAX_POLYNOMIAL_N, _relation_terms
+from .formats import MAX_POLYNOMIAL_N, _relation_terms
 from .hyperbolic import Spinor, bracket
+from .polynomial import PolynomialZZ
 
 # Re-exported, with MAX_POLYNOMIAL_N above: the solve path and the m-variables.
-from .solve import CentralSolve, _normalized_relation, m_from_normalized, solve_central_curvature
+from .solve import CentralSolve, m_from_normalized, solve_central_curvature
 from .solve import _check_chain, _spinor_pairs, solve_report
-
-if TYPE_CHECKING:
-    from .polynomial import PolynomialZZ
 
 # descartes_polynomial keeps the polynomials up to this n for the life of the
 # process: n = 3..12 together, with their serialized text, hold about 0.45 MB
@@ -206,7 +204,7 @@ def descartes_residual_complex(m: Sequence[float]) -> float:
 def descartes_polynomial(n: int) -> PolynomialZZ:
     """The relation lhs - rhs as an exact integer polynomial in
     m_0..m_{n-1}, terms in graded lexicographic order, built from the term
-    stream of `expansion`, which says what the terms are.  Exponential in n;
+    stream of `formats`, which says what the terms are.  Exponential in n;
     capped at n = MAX_POLYNOMIAL_N.  Polynomials up to n = _KEPT_N are built
     once per process and the same instance is returned on every later call;
     larger ones are built on each call.
@@ -220,10 +218,6 @@ def descartes_polynomial(n: int) -> PolynomialZZ:
 def _relation_polynomial(n: int) -> PolynomialZZ:
     """descartes_polynomial(n), kept.  typed=True keeps 5.0 apart from 5, so
     a float n still fails as it does uncached."""
-    # Imported here, where a polynomial is built, so that the `spinors`
-    # command, which imports this module, does not load it.
-    from .polynomial import PolynomialZZ
-
     return PolynomialZZ(n, tuple(_relation_terms(n)))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .euclid import _positive_finite
-from .solve import _bracket_is_minus_one as _pairs_bracket_is_minus_one, _checked_spinor
+from .solve import _checked_spinor
 
 INF = math.inf
 
@@ -100,11 +100,6 @@ class DiscHorocycle:
 def bracket(a: Spinor, b: Spinor) -> float:
     """Antisymmetric bilinear form: the determinant xi_a eta_b - eta_a xi_b."""
     return a.xi * b.eta - a.eta * b.xi
-
-
-def _bracket_is_minus_one(a: Spinor, b: Spinor, tol: float) -> bool:
-    """solve._bracket_is_minus_one of two spinors."""
-    return _pairs_bracket_is_minus_one((a.xi, a.eta), (b.xi, b.eta), tol)
 
 
 def spinor_to_horocycle(s: Spinor) -> Horocycle:

@@ -17,18 +17,6 @@ from typing import Mapping, Sequence
 from .formats import _term_row
 
 
-def _canonical(nvars: int, coeffs: Mapping[tuple[int, ...], int]):
-    terms = []
-    for exps, c in coeffs.items():
-        if c == 0:
-            continue
-        if len(exps) != nvars or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
-        terms.append((int(c), tuple(int(e) for e in exps)))
-    terms.sort(key=lambda t: (sum(t[1]), t[1]), reverse=True)
-    return tuple(terms)
-
-
 @dataclass(frozen=True)
 class PolynomialZZ:
     """Integer polynomial in nvars variables, canonical term order."""
@@ -38,7 +26,15 @@ class PolynomialZZ:
 
     @classmethod
     def from_dict(cls, nvars: int, coeffs: Mapping[tuple[int, ...], int]) -> "PolynomialZZ":
-        return cls(nvars, _canonical(nvars, coeffs))
+        terms = []
+        for exps, c in coeffs.items():
+            if c == 0:
+                continue
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
+            terms.append((int(c), tuple(int(e) for e in exps)))
+        terms.sort(key=lambda t: (sum(t[1]), t[1]), reverse=True)
+        return cls(nvars, tuple(terms))
 
     def __mul__(self, other: "PolynomialZZ") -> "PolynomialZZ":
         if self.nvars != other.nvars:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from nflower.cli import main
+from nflower.descartes import geometric_spinor_chain, solve_report
 from nflower.document import FlowerDocument
+from nflower.euclid import NumericFailure, _checked_petals, layout_flower
 from nflower.formats import DEFAULT_TOLERANCE
 from nflower.hyperbolic import bracket
 
@@ -841,3 +843,27 @@ class TestExitCodeContract:
                 seen.append(code)
         # Every command answers most flowers; the rest are exit 3.
         assert all(seen.count(0) >= 100 for seen in codes.values()), codes
+
+    def test_library_raises_only_numeric_failure(self):
+        # Once _checked_petals accepts the petals, the library's answers
+        # raise nothing but NumericFailure: no ValueError, OverflowError or
+        # ZeroDivisionError from inside a kernel.
+        rng = random.Random(20261021)
+        calls = {
+            "solve_report": solve_report,
+            "layout_flower": lambda petals: layout_flower([1.0 / k for k in petals]),
+            "geometric_spinor_chain": geometric_spinor_chain,
+        }
+        answered = dict.fromkeys(calls, 0)
+        for i in range(300):
+            spread = self.SPREADS[i % len(self.SPREADS)]
+            n = rng.choice((3, 4, 5, 7, 12, 40, 100, 200))
+            petals = _checked_petals([10.0 ** rng.uniform(-spread, spread) for _ in range(n)])
+            for name, call in calls.items():
+                try:
+                    call(petals)
+                except NumericFailure:
+                    continue
+                answered[name] += 1
+        # Each answers most flowers; the rest are typed numeric failures.
+        assert all(count >= 150 for count in answered.values()), answered

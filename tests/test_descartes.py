@@ -275,14 +275,14 @@ class TestResidualForms:
             k0 = 1.0 / solve_central_radius([1.0 / p for p in petals])
             for k in (k0, math.ldexp(k0, rng.choice((-40, -3, -1, 1, 7, 40)))):
                 expected = tuple(map(float.hex, composed_relation(petals, k)))
-                got = descartes_module._normalized_relation(petals, k)
+                got = solve_module._normalized_relation(petals, k)
                 assert tuple(map(float.hex, got)) == expected, (petals, k)
 
     def test_kernel_finite_at_extreme_curvatures(self):
         values = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308, math.inf)
         for n in (3, 4):
             for kappas in itertools.product(values, repeat=n):
-                res, scale = descartes_module._normalized_relation(kappas, 1.0)
+                res, scale = solve_module._normalized_relation(kappas, 1.0)
                 assert math.isfinite(res) and 1.0 <= scale <= 2.0, kappas
 
 

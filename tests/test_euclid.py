@@ -263,6 +263,36 @@ class TestSolveCentralRadius:
             solve_central_radius([1.0, 1.0, 1.0])
 
 
+class TestSolverInvariants:
+    """Properties of the geometric root that need no reference solver,
+    checked at the spreads where they hold today (ROADMAP item 8): wider
+    flowers saturate the angle sum, and these bounds fail there."""
+
+    NS = (3, 4, 5, 7, 12, 40)
+
+    def test_rotation_and_reversal_keep_the_root(self):
+        rng = random.Random(8)
+        for spread in (0.5, 2, 4):
+            for _ in range(300):
+                n = rng.choice(self.NS)
+                radii = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
+                R = solve_central_radius(radii)
+                for other in [radii[s:] + radii[:s] for s in range(1, n)] + [radii[::-1]]:
+                    assert abs(solve_central_radius(other) - R) <= 1e-13 * R, (spread, radii)
+
+    def test_raising_a_petal_curvature_never_lowers_k0(self):
+        rng = random.Random(8)
+        for spread in (0.5, 2, 4, 8, 12):
+            for _ in range(300):
+                n = rng.choice(self.NS)
+                ks = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
+                k0 = 1.0 / solve_central_radius([1.0 / k for k in ks])
+                for j in range(n):
+                    raised = [*ks[:j], ks[j] * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0)), *ks[j + 1:]]
+                    k0_raised = 1.0 / solve_central_radius([1.0 / k for k in raised])
+                    assert k0_raised >= k0 * (1.0 - 1e-13), (spread, raised, j)
+
+
 class TestAngleSumShape:
     def test_strictly_decreasing_on_grid(self):
         rng = random.Random(13)

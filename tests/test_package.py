@@ -136,6 +136,26 @@ class TestChildImports:
         if argv[0] in ("solve", "layout", "spinors", "polynomial"):  # no JSON read or written
             assert "json" not in modules
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["solve", "1,1,1"], {"euclid", "formats", "solve"}),
+            (["spinors", "1,1,1"], {"euclid", "formats", "solve"}),
+            (["layout", "1,2,3"], {"euclid", "formats", "document"}),
+            (["verify", "-"], {"euclid", "formats", "document", "solve"}),
+            (["render", "-", "-"], {"euclid", "formats", "document", "svg"}),
+            (["polynomial", "5"], {"formats"}),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_subcommand_loads_exactly_its_modules(self, argv, expected):
+        # PROBE runs nflower.cli as __main__, so it is not among the modules.
+        stdin = layout_document() if argv[0] in ("verify", "render") else None
+        rc, out, modules = loaded(PROBE, *argv, stdin=stdin)
+        assert rc == 0 and out
+        nflower_modules = {m for m in modules if m.startswith("nflower")}
+        assert nflower_modules == {"nflower", *(f"nflower.{m}" for m in expected)}
+
     def test_polynomial_loads_no_dataclasses(self):
         rc, _, modules = loaded(PROBE, "polynomial", "5")
         assert rc == 0
