@@ -162,9 +162,10 @@ def _angle_sum_and_log_slope(R: float, petal_radii: Sequence[float]) -> tuple[fl
 
 def _geometric_midpoint(lo: float, hi: float) -> float:
     """sqrt(lo * hi), which scales exactly with lo and hi by powers of two;
-    sqrt(lo) * sqrt(hi) where the product under- or overflows."""
-    mid = math.sqrt(lo * hi)
-    return mid if lo <= mid <= hi else math.sqrt(lo) * math.sqrt(hi)
+    sqrt(lo) * sqrt(hi) where the product under- or overflows.  A subnormal
+    product keeps too few bits for its root to split the bracket."""
+    p = lo * hi
+    return math.sqrt(p) if sys.float_info.min <= p < math.inf else math.sqrt(lo) * math.sqrt(hi)
 
 
 def solve_central_radius(petal_radii: Sequence[float]) -> float:
@@ -225,23 +226,18 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
     return R
 
 
-def _gap_angles(R: float, radii: Sequence[float]) -> tuple[float, ...]:
-    """The gap angles of the flower at central radius R: angle_gap between
-    each petal and the next, the last paired with the first."""
-    return tuple([angle_gap(R, r_a, r_b) for r_a, r_b in zip(radii, [*radii[1:], radii[0]])])
-
-
 @lru_cache(maxsize=1)
 def _solved_flower(radii: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
-    """solve_central_radius(radii) and the gap angles there, for a tuple of
-    float radii: the one geometric solve behind both views of a flower,
-    layout_flower and descartes.geometric_spinor_chain.  The last flower is
-    kept, so laying out a flower and then building its chain solves once.
-    Only radii that solve_central_radius accepted are kept, since a failure
-    raises and is not kept; the values are those of a fresh solve, and the
-    gaps are a tuple that no caller can change."""
+    """solve_central_radius(radii) and the gap angles there (angle_gap
+    between each petal and the next, the last paired with the first), for a
+    tuple of float radii: the one geometric solve behind both views of a
+    flower, layout_flower and descartes.geometric_spinor_chain.  The last
+    flower is kept, so laying out a flower and then building its chain
+    solves once.  Only radii that solve_central_radius accepted are kept,
+    since a failure raises and is not kept; the values are those of a fresh
+    solve, and the gaps are a tuple that no caller can change."""
     R = solve_central_radius(radii)
-    return R, _gap_angles(R, radii)
+    return R, tuple([angle_gap(R, r_a, r_b) for r_a, r_b in zip(radii, [*radii[1:], radii[0]])])
 
 
 def _flower_circles(radii: tuple[float, ...]) -> tuple[list[tuple[float, float, float]], tuple[float, ...]]:

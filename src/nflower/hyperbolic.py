@@ -25,8 +25,6 @@ from typing import Sequence
 from .euclid import _positive_finite
 from .solve import _checked_spinor
 
-INF = math.inf
-
 _DET_TOL = 1e-12
 
 
@@ -106,7 +104,7 @@ def spinor_to_horocycle(s: Spinor) -> Horocycle:
     """Horocycle of a spinor: tangency xi/eta and radius 1/(2 eta^2), or the
     horizontal line at height xi^2 when eta = 0."""
     if s.eta == 0.0:
-        return Horocycle(INF, height=s.xi * s.xi)
+        return Horocycle(math.inf, height=s.xi * s.xi)
     return Horocycle(s.xi / s.eta, radius=1.0 / (2.0 * s.eta * s.eta))
 
 
@@ -132,7 +130,7 @@ def disc_to_uhp(z: complex) -> complex | float:
     to infinity (returned as math.inf)."""
     z = complex(z)
     if z == 1.0:
-        return INF
+        return math.inf
     return (z + 1.0) * 1j / (1.0 - z)
 
 

@@ -3,8 +3,9 @@
 This is the path of `solve_report` and `nflower solve`, apart from the rest
 of the relation layer (`descartes`), so that a solve imports only `euclid`;
 with the m-variables and their spinor chain, it is all `nflower spinors`
-runs.  The command line calls the float kernels; `solve_report` wraps the
-solve's tuple in CentralSolve (`_records`).  `descartes` re-exports them.
+runs.  The command line and `solve_central_curvature` call the float
+kernels; `solve_report` wraps the solve's tuple in CentralSolve (`_records`).
+`descartes` re-exports them.
 
 The relation divided by |P| is sin(theta) - t, with theta summing
 atan2(1, m_j) over the m-variables m_j = sqrt((k_j + 1)(k_{j-1} + 1) - 1)
@@ -70,7 +71,7 @@ def solve_report(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> Cen
 
 
 def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, float]:
-    """solve_report's fields as a tuple, for the command line: no record."""
+    """solve_report's fields as a tuple, for the callers that read no record."""
     ks = _checked_petals(petals)
     _positive_finite(tol, "tol")
 
@@ -104,13 +105,14 @@ def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, fl
         lo = hi
     elif (flo > 0.0) == (fhi > 0.0):
         raise NumericFailure("relation residual does not change sign across the +-10% bracket")
-    # Halving [0.9 k, 1.1 k] reaches adjacent floats in about 55 steps.
+    # Halving [0.9 k, 1.1 k] reaches adjacent floats in about 55 steps; the
+    # lower end moves only to a midpoint of its sign, so that sign is flo's.
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         fm = f(mid)
         if fm == 0.0:
             lo = hi = mid
         elif (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+            lo = mid
         else:
             hi = mid
     kp = mid / down
@@ -120,8 +122,9 @@ def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, fl
 
 
 def solve_central_curvature(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> float:
-    """Central curvature of the flower with the given petal curvatures."""
-    return solve_report(petals, tol).central_curvature
+    """Central curvature of the flower with the given petal curvatures:
+    solve_report's central_curvature, without building the record."""
+    return _solve(petals, tol)[0]
 
 
 def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nflower.cli import main
-from nflower.descartes import geometric_spinor_chain, solve_report
+from nflower.descartes import geometric_spinor_chain, solve_central_curvature, solve_report
 from nflower.document import FlowerDocument
 from nflower.euclid import NumericFailure, _checked_petals, layout_flower
 from nflower.formats import DEFAULT_TOLERANCE
@@ -88,6 +88,22 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "1e6,1,1")
         assert code == 0
         assert "central curvature: 1002830.42783" in out
+
+    def test_bracket_whose_product_is_subnormal(self, capsys):
+        # The geometric solve of these petals steps through a bracket whose
+        # ends multiply to a subnormal, where a midpoint taken from that
+        # product can stop the iteration short of the root (exit 3).
+        radii = [
+            1.8711847600449391e188, 4.3114856370321702e-159, 1.1074919723816364e211,
+            2.8738844821973018e190, 1.4778447678464803e-247, 2.0583787504873044e24,
+            1.1694489481420776e-258,
+        ]
+        petals = [1.0 / r for r in radii]
+        code, out, err = run(capsys, "solve", ",".join(map(repr, petals)))
+        assert code == 0, err
+        assert "central curvature: 2.31938613319e+158\n" in out
+        twin = solve_central_curvature([k * 2.0**-200 for k in petals])
+        assert twin * 2.0**200 == pytest.approx(solve_central_curvature(petals), rel=1e-15)
 
 
 class TestLayoutVerify:

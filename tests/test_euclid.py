@@ -235,6 +235,23 @@ class TestSolveCentralRadius:
         assert mid(2.0, 8.0) == 2.0 * mid(1.0, 4.0)
         assert mid(1e200, 1e300) == pytest.approx(1e250, rel=1e-15)
         assert mid(1e-300, 1e-200) == pytest.approx(1e-250, rel=1e-15)
+        # lo * hi is subnormal: its root keeps about 21 bits and equals lo.
+        lo, hi = float.fromhex("0x1.e4eccc6b7e90bp-527"), float.fromhex("0x1.e4ecd0a4aaef5p-527")
+        assert lo < mid(lo, hi) < hi
+
+    def test_bracket_whose_product_is_subnormal(self):
+        # Newton's bracket on these radii (a 1e+-300 flower) closes near
+        # 2^-527, where lo * hi is subnormal; a midpoint taken from that
+        # product can equal lo and stop the iteration short.
+        radii = [
+            1.8711847600449391e188, 4.3114856370321702e-159, 1.1074919723816364e211,
+            2.8738844821973018e190, 1.4778447678464803e-247, 2.0583787504873044e24,
+            1.1694489481420776e-258,
+        ]
+        R = solve_central_radius(radii)
+        assert R == pytest.approx(4.31148563703217016408e-159, rel=3e-15)  # 80-digit bisection
+        twin = solve_central_radius([r * 2.0**200 for r in radii])
+        assert twin * 2.0**-200 == pytest.approx(R, rel=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -360,8 +377,8 @@ class TestLayout:
         assert not validate_flower(type(layout)(layout.central, tuple(petals), layout.gap_angles))
 
     def test_radius_and_gaps_are_the_helpers(self):
-        # geometric_spinor_chain takes R from solve_central_radius and the
-        # gaps from _gap_angles, without a layout; both must be layout's.
+        # geometric_spinor_chain takes R and the gaps from _solved_flower,
+        # without a layout; both must be layout's.
         rng = random.Random(44)
         for _ in range(200):
             n = rng.randrange(3, 41)
@@ -371,7 +388,7 @@ class TestLayout:
             R = solve_central_radius(radii)
             assert layout.central.r.hex() == R.hex()
             gaps = [angle_gap(R, radii[j], radii[(j + 1) % n]).hex() for j in range(n)]
-            assert [g.hex() for g in euclid_module._gap_angles(R, radii)] == gaps
+            assert [g.hex() for g in euclid_module._solved_flower(tuple(radii))[1]] == gaps
             assert [g.hex() for g in layout.gap_angles] == gaps
 
     def test_petal_centre_beyond_the_float_range(self):

@@ -156,6 +156,15 @@ class TestChildImports:
         nflower_modules = {m for m in modules if m.startswith("nflower")}
         assert nflower_modules == {"nflower", *(f"nflower.{m}" for m in expected)}
 
+    def test_solve_central_curvature_builds_no_record(self):
+        code = (
+            "import sys\nfrom nflower import solve_central_curvature\n"
+            "print(solve_central_curvature([1, 1, 1]))\nsys.stderr.write(' '.join(sys.modules) + '\\n')"
+        )
+        rc, out, modules = loaded(code)
+        assert rc == 0 and out == "6.464101615137752\n"
+        assert not {"nflower._records", "dataclasses"} & modules
+
     def test_polynomial_loads_no_dataclasses(self):
         rc, _, modules = loaded(PROBE, "polynomial", "5")
         assert rc == 0
