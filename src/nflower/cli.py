@@ -2,21 +2,26 @@
 
 Subcommands: solve, verify, layout, render, spinors, polynomial.
 Exit codes: 0 pass, 1 verification fail, 2 usage or parse error, 3 numeric
-failure.  `-` reads from standard input.  Reports display 12 significant
-digits; documents carry 17.
+failure, 141 stdout closed.  `-` reads from standard input.  Reports display
+12 significant digits; documents carry 17.
 
 Each subcommand imports the modules it runs when it runs, so a `solve`
 process loads `euclid` and `solve` but not the spinor, polynomial, document
-or SVG code, and `polynomial` loads no geometry.  The top level imports
-only what the parser needs.  The subcommands run the float kernels that the
-record classes wrap, so none loads `dataclasses`, nor `json` without JSON.
+or SVG code, and `polynomial` loads no geometry.  A plain call, a
+subcommand and exactly its positionals with no option, runs without a
+parser; any other argv builds the argparse parser, and only then is
+`argparse` loaded.  Both read one table of the subcommands.  The
+subcommands run the float kernels that the record classes wrap, so none
+loads `dataclasses`, nor `json` without JSON.  A write to a closed stdout
+exits 141, silently, as SIGPIPE would.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import Sequence
 
 from .formats import DEFAULT_TOLERANCE, MAX_POLYNOMIAL_N, _filled, _relation_terms, _term_row
@@ -218,6 +223,8 @@ def cmd_polynomial(args) -> int:
 
 def _tolerance(text: str) -> float:
     """The --tol value: a positive, finite real, or argparse's usage error."""
+    import argparse
+
     from .euclid import _positive_finite
 
     try:
@@ -226,58 +233,94 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Each subcommand takes only the options it reads.
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                     help="verification tolerance, positive and finite (default 1e-9)")
-    report = argparse.ArgumentParser(add_help=False, parents=[tol])
-    report.add_argument("--json", action="store_true", help="machine-readable reports")
+# The grammar, written once for the parser and for plain calls.  Each
+# option: its default, and its other argparse keywords.
+_OPTIONS = {
+    "tol": (DEFAULT_TOLERANCE, {"type": _tolerance,
+                                "help": "verification tolerance, positive and finite (default 1e-9)"}),
+    "json": (False, {"action": "store_true", "help": "machine-readable reports"}),
+}
+
+# Each subcommand: its help, its positionals (name, type, help), the
+# options it reads (it takes no other), and its kernel.
+_COMMANDS = {
+    "solve": ("central curvature from petal curvatures",
+              (("petals", str, "comma-separated petal curvatures, e.g. 1,1,1"),), ("tol", "json"), cmd_solve),
+    "verify": ("check a flower document",
+               (("file", str, "flower document path, or - for stdin"),), ("tol", "json"), cmd_verify),
+    "layout": ("emit a flower document with circles",
+               (("petals", str, "comma-separated petal curvatures"),), ("tol",), cmd_layout),
+    "render": ("render a flower document to SVG",
+               (("file", str, "flower document path, or - for stdin"),
+                ("out", str, "output SVG path, or - for stdout")), (), cmd_render),
+    "spinors": ("spinor table of the flat flower",
+                (("petals", str, "comma-separated petal curvatures"),), ("tol", "json"), cmd_spinors),
+    "polynomial": ("integer relation polynomial",
+                   (("n", int, f"number of petals (3..{MAX_POLYNOMIAL_N})"),), (), cmd_polynomial),
+}
+
+
+def _build_parser():
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="nflower",
         description="Solve, verify, lay out, and render tangent-circle flowers.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("solve", parents=[report], help="central curvature from petal curvatures")
-    p.add_argument("petals", help="comma-separated petal curvatures, e.g. 1,1,1")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", parents=[report], help="check a flower document")
-    p.add_argument("file", help="flower document path, or - for stdin")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("layout", parents=[tol], help="emit a flower document with circles")
-    p.add_argument("petals", help="comma-separated petal curvatures")
-    p.set_defaults(func=cmd_layout)
-
-    p = sub.add_parser("render", help="render a flower document to SVG")
-    p.add_argument("file", help="flower document path, or - for stdin")
-    p.add_argument("out", help="output SVG path, or - for stdout")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("spinors", parents=[report], help="spinor table of the flat flower")
-    p.add_argument("petals", help="comma-separated petal curvatures")
-    p.set_defaults(func=cmd_spinors)
-
-    p = sub.add_parser("polynomial", help="integer relation polynomial")
-    p.add_argument("n", type=int, help=f"number of petals (3..{MAX_POLYNOMIAL_N})")
-    p.set_defaults(func=cmd_polynomial)
+    for name, (help_text, positionals, options, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            default, keywords = _OPTIONS[option]
+            p.add_argument(f"--{option}", default=default, **keywords)
+        for arg, kind, arg_help in positionals:
+            p.add_argument(arg, type=kind, help=arg_help)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes argparse sets for a known subcommand followed by
+    exactly its positionals, none of them an option (a lone `-` is stdin),
+    without building the parser; None for any other argv, which argparse
+    parses: an option, `-h`, `--` or a negative number, a wrong count, an
+    unknown or missing command, or an `n` that int() refuses."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, positionals, options, func = entry
+    values = argv[1:]
+    if len(values) != len(positionals) or any(v.startswith("-") and v != "-" for v in values):
+        return None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
+        args = {name: kind(value) for (name, kind, _), value in zip(positionals, values)}
+    except ValueError:
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **args,
+                           **{option: _OPTIONS[option][0] for option in options})
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: no usage error.  Point
+        # stdout at devnull so that the flush at exit stays quiet, and exit
+        # as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

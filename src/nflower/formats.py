@@ -14,13 +14,13 @@ odd n, -2 for n = 0 (mod 4), none for n = 2 (mod 4).
 
 `descartes.descartes_polynomial` builds its PolynomialZZ from this stream,
 and `nflower polynomial` writes it row by row.  The module imports nothing
-from the package, so the command line can build its parser and print a
-report or a polynomial without loading the geometry or `dataclasses`.
+from the package, so the command line can read its arguments and print a
+report or a polynomial without loading the geometry or `dataclasses`; it
+loads `heapq` only when the terms are generated.
 """
 
 from __future__ import annotations
 
-from heapq import merge
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
@@ -69,6 +69,8 @@ def _terms(n: int) -> Iterator[Term]:
     two families, each already in order: combinations of an ascending range
     come in lexicographic order of index tuples, which is descending
     lexicographic order of the exponent vectors."""
+    from heapq import merge
+
     odd = n % 2
     idx = range(1, n - 1, 2) if odd else range(2, n - 1, 2)
     for degree in range(n if odd else n - 2, 0, -1):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nflower.cli import main
+from nflower.cli import _build_parser, _plain_args, main
 from nflower.descartes import geometric_spinor_chain, solve_central_curvature, solve_report
 from nflower.document import FlowerDocument
 from nflower.euclid import NumericFailure, _checked_petals, layout_flower
@@ -832,6 +832,73 @@ class TestDispatch:
         )
         assert proc.returncode == 0
         assert "central curvature: 6.46410161514" in proc.stdout
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # The reader takes one line and closes stdout, as `| head -1` does:
+        # neither a usage error nor a message at exit.
+        import subprocess
+        import sys
+
+        with subprocess.Popen(
+            [sys.executable, "-m", "nflower.cli", "polynomial", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"1 0 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 0\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+
+class TestPlainCalls:
+    """A subcommand followed by exactly its positionals, none an option,
+    runs without a parser, with the attributes argparse would set; every
+    other argv falls back to argparse."""
+
+    README = TestReadmeExamples.README
+
+    PLAIN = [
+        ["solve", "1,1,1"], ["solve", ""], ["solve", "solve"], ["solve", " 1, 2 ,3 "],
+        ["verify", "-"], ["verify", "flower.json"], ["layout", "1,2,3"],
+        ["render", "-", "-"], ["render", "flower.json", "flower.svg"], ["spinors", "0.5,1,2,1"],
+        ["polynomial", "12"], ["polynomial", "+5"], ["polynomial", " 5 "], ["polynomial", "25"],
+    ]
+    FALLBACK = [
+        [], ["frobnicate"], ["frobnicate", "1,1,1"], ["-"], ["--"], ["--help"], ["-h"],
+        ["solve"], ["solve", "1,1,1", "2"], ["render", "-"], ["render", "-", "-", "-"],
+        ["solve", "--"], ["solve", "--", "1,1,1"], ["solve", "-1,2,3"], ["solve", "-h"],
+        ["render", "-h", "-"], ["verify", "--help"],
+        ["solve", "--json", "1,1,1"], ["solve", "1,1,1", "--json"], ["solve", "--tol", "1e-6", "1,1,1"],
+        ["solve", "--tol=1e-6", "1,1,1"], ["verify", "--json", "--tol", "1e-3", "-"],
+        ["layout", "--tol", "1e-6", "1,2,3"], ["layout", "--json", "1,2,3"], ["spinors", "--json", "1,1,1"],
+        ["render", "--json", "-", "-"], ["polynomial", "--json", "3"], ["polynomial", "--tol", "1", "3"],
+        ["polynomial", "5.0"], ["polynomial", "x"], ["polynomial", "-5"], ["polynomial", ""],
+    ]
+
+    def readme_calls(self):
+        """The argv of each `nflower` call the README shows with arguments:
+        its command line examples and the calls quoted in its text."""
+        text = self.README.read_text(encoding="utf-8")
+        start = text.index("```sh\n", text.index("\n## Command line\n")) + len("```sh\n")
+        block = text[start : text.index("```", start)]
+        lines = [*block.splitlines(), *re.findall(r"`(nflower [^`]+)`", text)]
+        calls = [seg.split("#")[0].split(">")[0].split() for line in lines for seg in line.split("|")]
+        return [call[1:] for call in calls if call[:1] == ["nflower"] and len(call) > 2]
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=repr)
+    def test_plain_call_sets_what_argparse_sets(self, argv):
+        assert vars(_plain_args(argv)) == vars(_build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", FALLBACK, ids=repr)
+    def test_anything_else_falls_back(self, argv):
+        assert _plain_args(argv) is None
+
+    def test_readme_examples_are_plain(self):
+        calls = self.readme_calls()
+        assert len(calls) >= 9
+        assert {call[0] for call in calls} == {"solve", "verify", "layout", "render", "spinors", "polynomial"}
+        for argv in calls:
+            assert vars(_plain_args(argv)) == vars(_build_parser().parse_args(argv)), argv
 
 
 class TestExitCodeContract:

@@ -135,6 +135,10 @@ class TestChildImports:
         assert not {"nflower._records", "dataclasses", "inspect"} & modules
         if argv[0] in ("solve", "layout", "spinors", "polynomial"):  # no JSON read or written
             assert "json" not in modules
+        # A plain call builds no parser, and only polynomial merges terms.
+        assert not {"argparse", "gettext", "locale"} & modules
+        if argv[0] != "polynomial":
+            assert "heapq" not in modules
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -155,6 +159,15 @@ class TestChildImports:
         assert rc == 0 and out
         nflower_modules = {m for m in modules if m.startswith("nflower")}
         assert nflower_modules == {"nflower", *(f"nflower.{m}" for m in expected)}
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--json", "1,1,1"], ["layout", "--tol", "1e-6", "1,2,3"], ["polynomial", "-h"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_call_with_an_option_goes_through_argparse(self, argv):
+        rc, out, modules = loaded(PROBE, *argv)
+        assert rc == 0 and out
+        assert "argparse" in modules
 
     def test_solve_central_curvature_builds_no_record(self):
         code = (
