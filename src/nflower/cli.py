@@ -91,7 +91,7 @@ def _verify_checks(doc: tuple, tol: float) -> list[tuple[str, bool, float, float
     (n, central curvature, petal curvatures, tolerance, circles)."""
     from .euclid import TWO_PI, _worst_tangency, angle_sum, classic_descartes_residual, classic_descartes_scale
     from .euclid import four_flower_poly_residual, four_flower_poly_scale
-    from .solve import _normalized_relation
+    from .solve import _normalized_relation, _tightest_last
 
     n, k0, ks, doc_tol, circles = doc
     checks: list[tuple[str, bool, float, float]] = []
@@ -110,7 +110,7 @@ def _verify_checks(doc: tuple, tol: float) -> list[tuple[str, bool, float, float
         rel = abs(S - TWO_PI) / TWO_PI
         checks.append(("angle sum", rel <= tol, rel, tol))
 
-    res, scale = _normalized_relation(ks, k0)
+    res, scale = _normalized_relation(_tightest_last(ks, k0), k0)
     rel = abs(res) / scale
     checks.append(("descartes relation", rel <= tol, rel, tol))
 
@@ -314,14 +314,25 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 2
     try:
-        return args.func(args)
-    except BrokenPipeError:
-        # The reader closed stdout, as `| head` does: no usage error.  Point
-        # stdout at devnull so that the flush at exit stays quiet, and exit
-        # as a process killed by SIGPIPE would.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except (ValueError, OSError) as exc:
+        code = args.func(args)
+        # Write what stdout still buffers here, so that a closed pipe or a
+        # full disk meets the handlers below and not the flush at exit.
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed and keeps its buffer: point it at devnull
+            # so that the flush at exit stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed stdout, as `| head` does: no usage error;
+            # exit as a process killed by SIGPIPE would.
+            return 141
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # NumericFailure, or OverflowError from a float

@@ -12,7 +12,12 @@ atan2(1, m_j) over the m-variables m_j = sqrt((k_j + 1)(k_{j-1} + 1) - 1)
 of the normalized petal curvatures k_j and t = 1/sqrt((k_0 + 1)(k_{n-1} + 1))
 (see `descartes` for the forms it equals).  It is O(n) and finite for every
 n, and it is the one form that checks the geometric root, that the root
-bisection runs on and that `verify` evaluates.
+bisection runs on and that `verify` evaluates.  atan2(1, m_j) is half of
+gap angle j at the central circle and t is the sine of half the closing
+gap, so the relation over |P| is the angle-sum condition in half-angle
+form; the solve and `verify` evaluate it with the petals rotated so that
+the tightest gap closes the cycle (_tightest_last), where the root is
+simple.
 """
 
 from __future__ import annotations
@@ -29,26 +34,45 @@ from .euclid import NumericFailure, _checked_petals, _positive_finite, _records_
 from .formats import DEFAULT_TOLERANCE
 
 
+def _radicand(a: float, b: float) -> float:
+    """m_j^2 = (a + 1)(b + 1) - 1 of two normalized petal curvatures, formed
+    as hi (lo + 1) + lo with hi = max(a, b): only positive terms, so nothing
+    cancels when both are tiny, and no 0 * inf where one overflows and the
+    other underflows."""
+    return a * (b + 1.0) + b if a > b else b * (a + 1.0) + a
+
+
+def _tightest_last(petals: Sequence[float], k: float) -> list[float]:
+    """petals rotated so that the pair with the largest radicand at central
+    curvature k, the tightest gap, closes the cycle (petals[-1], petals[0]);
+    the input order when that pair closes it already.  There the closing
+    gap is at most 2 pi / n, so the relation's root is simple."""
+    a = [p / k for p in petals]
+    rads = [_radicand(x, y) for x, y in zip(a[-1:] + a, a)]
+    j = rads.index(max(rads))
+    return [*petals[j:], *petals[:j]]
+
+
 def _normalized_relation(petals: Sequence[float], k: float) -> tuple[float, float]:
     """The relation over |P| at petal curvatures petals (3 or more, each
     >= 0) and central curvature k, in one pass: (sin(theta) - t, 1 + t),
-    theta summing atan2(1, m_j) with m_j = sqrt(p_j p_{j-1} - 1),
-    p_j = petals[j] / k + 1, and t = 1/sqrt(p_0 p_{n-1}) in [0, 1].  The
-    relation is homogeneous, so dividing by k here is the whole
-    normalization: no caller builds a list of normalized curvatures.  It
-    forms the float operations of descartes._phase_form(m_from_normalized(
+    theta summing atan2(1, m_j) with m_j^2 the _radicand (formed inline)
+    of a_j = petals[j] / k and a_{j-1}, and t = 1/sqrt((a_0 + 1)(a_{n-1} + 1))
+    in [0, 1].  The relation is homogeneous, so dividing by k here is the
+    whole normalization: no caller builds a list of normalized curvatures.
+    It forms the float operations of descartes._phase_form(m_from_normalized(
     [p / k for p in petals]), t) in the same order, so the two agree to the
     bit wherever the m-variables are finite, but keeps no list of them.
     The one kernel of the solve path: the check of the geometric root, each
     bisection step and `verify`."""
     it = iter(petals)
-    first = prev = next(it) / k + 1.0
+    first = prev = next(it) / k
     theta = 0.0
     for q in it:
-        p = q / k + 1.0
-        theta += math.atan2(1.0, math.sqrt(p * prev - 1.0))
-        prev = p
-    t = 1.0 / math.sqrt(first * prev)
+        a = q / k
+        theta += math.atan2(1.0, math.sqrt(a * (prev + 1.0) + prev if a > prev else prev * (a + 1.0) + a))
+        prev = a
+    t = 1.0 / math.sqrt((first + 1.0) * (prev + 1.0))
     return math.sin(theta) - t, 1.0 + t
 
 
@@ -82,8 +106,9 @@ def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, fl
     # subnormal either way, which the m-variables add to 1; dividing by
     # `down` maps a root back exactly, to inf beyond the float range.
     down = 2.0 ** -max(math.frexp(k0)[1], 0)
-    scaled = [p * down for p in ks]
-    res, scale = _normalized_relation(scaled, k0 * down)
+    kd = k0 * down
+    scaled = _tightest_last([p * down for p in ks], kd)
+    res, scale = _normalized_relation(scaled, kd)
     if not abs(res) <= tol * scale:
         raise NumericFailure(
             f"geometric root fails the relation: residual {res:.3e}, scale {scale:.3e}"
@@ -97,7 +122,7 @@ def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, fl
             )
         return fk
 
-    lo, hi = 0.9 * (k0 * down), 1.1 * (k0 * down)
+    lo, hi = 0.9 * kd, 1.1 * kd
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         hi = lo
@@ -107,8 +132,19 @@ def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, fl
         raise NumericFailure("relation residual does not change sign across the +-10% bracket")
     # Halving [0.9 k, 1.1 k] reaches adjacent floats in about 55 steps; the
     # lower end moves only to a midpoint of its sign, so that sign is flo's.
+    # When the ends of the window k (1 -+ 2 tol), strictly inside the
+    # bracket, are nonzero with flo's and fhi's signs, the root is there
+    # (and simple, with the tightest gap closing the cycle): a midpoint
+    # below the window takes flo's value and one above it fhi's, unevaluated.
+    # Otherwise, as for a wrong geometric root, every midpoint is evaluated.
+    wlo, whi = lo, hi
+    inner = (1.0 - 2.0 * tol) * kd, (1.0 + 2.0 * tol) * kd
+    if lo < inner[0] and inner[1] < hi and all(
+        fw != 0.0 and (fw > 0.0) == (fe > 0.0) for fw, fe in zip(map(f, inner), (flo, fhi))
+    ):
+        wlo, whi = inner
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        fm = f(mid)
+        fm = flo if mid < wlo else fhi if mid > whi else f(mid)
         if fm == 0.0:
             lo = hi = mid
         elif (fm > 0.0) == (flo > 0.0):
@@ -130,10 +166,10 @@ def solve_central_curvature(petals: Sequence[float], tol: float = DEFAULT_TOLERA
 def m_from_normalized(kappas: Sequence[float]) -> tuple[float, ...]:
     """m-variables of normalized petal curvatures (central curvature 1);
     a negative radicand or a non-finite value raises ValueError."""
-    ps = [k + 1.0 for k in map(float, kappas)]
-    if len(ps) < 3:
+    ks = list(map(float, kappas))
+    if len(ks) < 3:
         raise ValueError("need at least 3 petal curvatures")
-    rads = [ps[0]] + [a * b - 1.0 for a, b in zip(ps[1:], ps)]
+    rads = [ks[0] + 1.0] + [_radicand(a, b) for a, b in zip(ks[1:], ks)]
     for j, rad in enumerate(rads):
         if rad < 0.0:
             raise ValueError(f"negative radicand {rad} at index {j}")

@@ -354,16 +354,11 @@ class TestRadiiNearTheFloatMaximum:
 
 
 class TestCancellationInMVariables:
-    # Laid out correctly (tangency, declared curvatures and the classic
-    # 3-flower relation pass), but the relation kernel _normalized_relation
-    # forms p_j = k_j / k + 1 and the radicand p_j p_{j-1} - 1, and
-    # m_from_normalized the same radicand (k_a + 1)(k_b + 1) - 1; at
-    # normalized curvatures of 1e-16 to 1e-34 it cancels, and the general
-    # relation then reads 4.3e-9 and 2.9e-9.  The direct form
-    # k_a k_b + k_a + k_b of ROADMAP item 2 reads 1.3e-16 and 6.5e-17.
-    @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: cancellation in the radicand (k_a + 1)(k_b + 1) - 1"
-    )
+    # At normalized curvatures of 1e-16 to 1e-34 the radicand
+    # (k_a + 1)(k_b + 1) - 1 cancels, and the general relation read 4.3e-9
+    # and 2.9e-9 on these flowers, so `verify` failed them and `solve`
+    # exited 3.  The kernel forms it as hi (lo + 1) + lo, with only positive
+    # terms, and reads 1.3e-16 and 6.5e-17.
     @pytest.mark.parametrize(
         "petals",
         [
@@ -848,6 +843,45 @@ class TestDispatch:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    @staticmethod
+    def _buffered_env():
+        # Without PYTHONUNBUFFERED, stdout to a pipe or a file is block
+        # buffered, so a short report is written only by a flush.
+        import os
+
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def test_short_report_to_a_closed_pipe_exits_141_quietly(self, capsys):
+        import subprocess
+        import sys
+
+        _, doc_json, _ = run(capsys, "layout", "1,2,3")
+        with subprocess.Popen(
+            [sys.executable, "-m", "nflower.cli", "verify", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=self._buffered_env(),
+        ) as proc:
+            proc.stdout.close()
+            proc.stdin.write(doc_json.encode("utf-8"))
+            proc.stdin.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_disk_is_one_error_line(self):
+        import subprocess
+        import sys
+
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nflower.cli", "solve", "1,1,1"],
+                stdout=full, stderr=subprocess.PIPE, env=self._buffered_env(), timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")
 
 
 class TestPlainCalls:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -83,6 +84,47 @@ def composed_relation(petals, k):
     kappas = [p / k for p in petals]
     t = 1.0 / math.sqrt((kappas[0] + 1.0) * (kappas[-1] + 1.0))
     return descartes_module._phase_form(m_from_normalized(kappas), t)
+
+
+def full_bisection_solve(petals, tol):
+    """solve._solve with every midpoint of the +-10% bracket evaluated, as
+    its bisection ran before it skipped those outside k0 (1 +- 2 tol), on the
+    same kernel and the same rotated list: (float.hex of its four fields or
+    its refusal's message, relation evaluations)."""
+    calls = 0
+
+    def f(k):
+        nonlocal calls
+        calls += 1
+        return solve_module._normalized_relation(scaled, k)
+
+    k0 = 1.0 / solve_central_radius([1.0 / p for p in petals])
+    down = 2.0 ** -max(math.frexp(k0)[1], 0)
+    kd = k0 * down
+    scaled = solve_module._tightest_last([p * down for p in petals], kd)
+    res, scale = f(kd)
+    if not abs(res) <= tol * scale:
+        return "geometric root fails the relation", calls
+    lo, hi = 0.9 * kd, 1.1 * kd
+    flo, fhi = f(lo)[0], f(hi)[0]
+    if flo == 0.0:
+        hi = lo
+    elif fhi == 0.0:
+        lo = hi
+    elif (flo > 0.0) == (fhi > 0.0):
+        return "relation residual does not change sign across the +-10% bracket", calls
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fm = f(mid)[0]
+        if fm == 0.0:
+            lo = hi = mid
+        elif (fm > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    kp = mid / down
+    if abs(kp - k0) > tol * k0:
+        return f"geometric and relation roots disagree: {k0!r} vs {kp!r}", calls
+    return tuple(map(float.hex, (k0, kp, res, scale))), calls
 
 
 def composed_chain(petals):
@@ -429,8 +471,8 @@ class TestClosureResiduals:
                 assert abs(bracket(chain[0], chain[n - 1]) + 1.0) <= 1e-12
 
     def test_eta_zero_raises(self):
-        k0 = solve_central_curvature([1.0] * 6)
-        chain = spinor_recursion(m_from_normalized([1.0 / k0] * 6))
+        # Six unit petals: the central curvature is exactly 1.
+        chain = spinor_recursion(m_from_normalized([1.0] * 6))
         assert chain.etas[3] == 0.0
         with pytest.raises(NumericFailure, match="eta_3"):
             closure_residuals(chain)
@@ -796,13 +838,18 @@ class TestCentralCurvatureSolver:
         assert solve_report([1.0, 2.0, 3.0]).polished_curvature == expected
         assert len(calls) > call
 
-    @pytest.mark.parametrize("petals, down", [([1.0, 1.0, 1.0], 0.125), ([0.01, 0.02, 0.03], 1.0)])
-    def test_one_scaled_flower_for_every_kernel_call(self, monkeypatch, petals, down):
-        # The check runs at k0 * down on the list the bisection bisects on.
+    @pytest.mark.parametrize(
+        "petals, down, rotated",
+        [([1.0, 1.0, 1.0], 0.125, [1.0, 1.0, 1.0]), ([0.01, 0.02, 0.03], 1.0, [0.03, 0.01, 0.02])],
+    )
+    def test_one_scaled_flower_for_every_kernel_call(self, monkeypatch, petals, down, rotated):
+        # The check runs at k0 * down on the list the bisection bisects on:
+        # the scaled petals, rotated so that the tightest gap (here between
+        # 0.02 and 0.03) closes the cycle.
         calls = self._patch_kernel(monkeypatch, 0, lambda res: res)
         k0 = solve_report(petals).central_curvature
-        assert calls[0] == ([p * down for p in petals], k0 * down)
-        assert len(calls) >= 4
+        assert calls[0] == ([p * down for p in rotated], k0 * down)
+        assert len(calls) >= 6
         assert all(args[0] is calls[0][0] for args in calls)
 
     @pytest.mark.parametrize("call, factor", [(1, 0.9), (2, 1.1)])
@@ -814,16 +861,31 @@ class TestCentralCurvatureSolver:
         assert str(exc.value) == f"geometric and relation roots disagree: {k0!r} vs {factor * k0!r}"
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("call", [3, 10])
+    @pytest.mark.parametrize("call", [5, 10])
     def test_zero_at_midpoint_is_the_root(self, monkeypatch, call):
+        # Calls 3 and 4 are the window's ends; midpoints are evaluated from
+        # call 5 on.
         calls = self._patch_kernel(monkeypatch, call, lambda res: 0.0)
         rep = solve_report([1.0, 1.0, 1.0], tol=1e-2)
         assert len(calls) == call + 1
         assert rep.polished_curvature == calls[call][1] / 0.125
 
+    @pytest.mark.parametrize("call", [3, 4])
+    @pytest.mark.parametrize("value", [lambda res: 0.0, lambda res: -res])
+    def test_window_end_without_its_sign_bisects_the_bracket(self, value, monkeypatch, call):
+        # A window end that is zero or has the other end's sign leaves every
+        # midpoint of the +-10% bracket to be evaluated, on to the same root;
+        # a failed lower end is the last window call.
+        petals, tol = [1.0, 1.0, 1.0], 1e-2
+        expected, evaluations = full_bisection_solve(petals, tol)
+        calls = self._patch_kernel(monkeypatch, call, value)
+        assert tuple(map(float.hex, dataclasses.astuple(solve_report(petals, tol)))) == expected
+        assert len(calls) == evaluations + call - 2
+
     def test_solve_with_composed_kernel_is_bit_identical(self, monkeypatch):
-        # The 120 flowers of the seed-41 sweep, one of which fails with "does
-        # not change sign", and 400 more at spreads up to 1e+-12.
+        # The 120 flowers of the seed-41 sweep, one of which failed with "does
+        # not change sign" before the tightest gap closed the cycle, and 400
+        # more at spreads up to 1e+-12; all of them solve.
         def outcome(petals):
             try:
                 rep = solve_report(petals)
@@ -836,8 +898,49 @@ class TestCentralCurvatureSolver:
         expected = [outcome(petals) for petals in flowers]
         monkeypatch.setattr(solve_module, "_normalized_relation", composed_relation)
         assert [outcome(petals) for petals in flowers] == expected
-        no_sign_change = "relation residual does not change sign across the +-10% bracket"
-        assert (NumericFailure, no_sign_change) in expected
+        assert [row for row in expected if row[0] is NumericFailure] == []
+
+    def test_walk_matches_the_full_bisection(self, monkeypatch):
+        # n 3..120, spreads 1e+-0.5 to 1e+-300: evaluating only the
+        # midpoints inside k0 (1 +- 2 tol) gives the full bisection's bits or
+        # refusal.  Its evaluations fall with tol, about 10 for each factor
+        # of 1000; the full bisection makes 53.
+        real = solve_module._normalized_relation
+        log = []
+
+        def counted(petals, k):
+            log.append(k)
+            return real(petals, k)
+
+        monkeypatch.setattr(solve_module, "_normalized_relation", counted)
+        rng = random.Random(7)
+        for tol, most in ((1e-12, 21), (1e-9, 31), (1e-6, 41), (1e-3, 51)):
+            walked = []
+            for _ in range(150):
+                n = rng.randrange(3, 121)
+                spread = rng.choice((0.5, 1, 2, 4, 8, 12, 20, 50, 100, 150, 200, 300))
+                petals = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
+                expected, _ = full_bisection_solve(petals, tol)
+                start = len(log)
+                try:
+                    got = tuple(map(float.hex, solve_module._solve(petals, tol)))
+                except NumericFailure as exc:
+                    got = str(exc)
+                assert got == expected, (tol, petals)
+                walked.append(len(log) - start)
+            assert statistics.median(walked) <= most, tol
+
+    @pytest.mark.parametrize("spread", [4, 8])
+    def test_no_refusal_up_to_a_ratio_of_1e16(self, spread):
+        # With the radicand formed as (k_a + 1)(k_b + 1) - 1, which cancels
+        # at tiny normalized curvatures, and the input's closing gap, which
+        # when wide gives the relation a second root near the first, 20 and
+        # 64 of these flowers were refused.
+        rng = random.Random(1000 + spread)
+        for _ in range(1000):
+            n = rng.choice((3, 4, 5, 7, 12, 40))
+            petals = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
+            solve_report(petals)
 
     @pytest.mark.parametrize(
         "petals", [(1e4, 1.0, 1.0), (1e6, 1.0, 1.0), (1e-6, 1.0, 1.0), (1e8, 1e-8, 1.0)]
