@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .euclid import NumericFailure, _checked_petals, _solved_flower
+from .euclid import NumericFailure, _checked_petals, _geometric_midpoint, _solved_flower
 from .formats import MAX_POLYNOMIAL_N, _relation_terms
 from .hyperbolic import Spinor, bracket
 from .polynomial import PolynomialZZ
@@ -261,7 +261,10 @@ def xi_from_etas(etas: Sequence[float], j: int) -> float:
         raise ValueError(f"index {j} out of range")
     if any(e == 0.0 for e in etas[: j + 1]):
         raise ValueError("zero eta in telescoping sum")
-    acc = sum(1.0 / (etas[k - 1] * etas[k]) for k in range(1, j))
+    try:
+        acc = sum(1.0 / (etas[k - 1] * etas[k]) for k in range(1, j))
+    except ZeroDivisionError:
+        raise NumericFailure("a product of consecutive etas underflows to 0") from None
     return 1.0 / etas[j - 1] + etas[j] * acc
 
 
@@ -273,7 +276,8 @@ def closure_residuals(chain: SpinorChain) -> tuple[float, float]:
     exactly on chains of genuine flowers whose horocycles all have finite
     tangency.  The eta-sum residual means nothing when a horocycle is tangent
     at infinity (eta near 0): four equal petals give -1.0 while the bracket
-    closes.  An eta of exactly 0 raises NumericFailure.
+    closes.  An eta of exactly 0, or a product of two that underflows to 0,
+    raises NumericFailure.
     """
     s = chain.spinors
     n = len(s)
@@ -281,7 +285,10 @@ def closure_residuals(chain: SpinorChain) -> tuple[float, float]:
     es = chain.etas
     if 0.0 in es:
         raise NumericFailure(f"eta_{es.index(0.0)} = 0: the eta-sum residual is undefined")
-    eres = sum([1.0 / (es[j] * es[j + 1]) for j in range(n - 1)]) - 1.0 / (es[0] * es[n - 1])
+    try:
+        eres = sum([1.0 / (es[j] * es[j + 1]) for j in range(n - 1)]) - 1.0 / (es[0] * es[n - 1])
+    except ZeroDivisionError:
+        raise NumericFailure("a product of etas underflows to 0: the eta-sum residual is undefined") from None
     return bres, eres
 
 
@@ -319,12 +326,15 @@ def flat_curvatures(chain: SpinorChain) -> list[float]:
 
 def flat_flower_residual(kappas: Sequence[float]) -> float:
     """Closure residual of a flat flower with the given horocycle curvatures:
-    sum_j 1/sqrt(k_j k_{j+1}) - 1/sqrt(k_0 k_{n-1})."""
+    sum_j 1/sqrt(k_j k_{j+1}) - 1/sqrt(k_0 k_{n-1}), each root formed as
+    sqrt(k_a) sqrt(k_b) where the product under- or overflows; a sum that
+    overflows raises NumericFailure."""
     ks = _checked_petals(kappas, "curvatures")
-    n = len(ks)
-    return sum(1.0 / math.sqrt(ks[j] * ks[j + 1]) for j in range(n - 1)) - 1.0 / math.sqrt(
-        ks[0] * ks[n - 1]
-    )
+    root = _geometric_midpoint
+    res = sum(1.0 / root(a, b) for a, b in zip(ks, ks[1:])) - 1.0 / root(ks[0], ks[-1])
+    if not math.isfinite(res):
+        raise NumericFailure(f"flat flower residual is not finite: {res}")
+    return res
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,13 @@ def _far_gap(R: float, r_a: float, r_b: float) -> tuple[float, float]:
 
 def angle_sum(R: float, petal_radii: Sequence[float]) -> float:
     """Sum of angle_gap over consecutive petal pairs (cyclic), the last
-    paired with the first; the first value of _angle_sum_and_log_slope."""
+    paired with the first; the first value of _angle_sum_and_log_slope,
+    after checking the inputs as angle_gap does."""
+    _positive_finite(R, "central radius")
+    if len(petal_radii) == 0:
+        raise ValueError("need at least one petal radius")
+    for r in petal_radii:
+        _positive_finite(r, "petal radius")
     return _angle_sum_and_log_slope(R, petal_radii)[0]
 
 
@@ -217,7 +223,7 @@ def solve_central_radius(petal_radii: Sequence[float]) -> float:
         R = nxt
         if done:
             break
-    residual = angle_sum(R, radii) - TWO_PI
+    residual = _angle_sum_and_log_slope(R, radii)[0] - TWO_PI
     tol = max(1e-12, TWO_PI * n * sys.float_info.epsilon)
     if not abs(residual) <= tol:  # also catches NaN
         raise NumericFailure(f"angle sum residual {residual:.3e} exceeds tol {tol:.3e}")
@@ -349,15 +355,19 @@ def classic_descartes_scale(k_inf: float, k1: float, k2: float, k3: float) -> fl
 
 
 def four_flower_poly_residual(k_inf: float, k1: float, k2: float, k3: float, k4: float) -> float:
-    """Residual of the degree-4 curvature relation for a 4-flower; exact on ints."""
-    return (
-        16 * k_inf**4
-        - 8 * k_inf**2 * (k1 * k2 + k2 * k3 + k3 * k4 + k4 * k1 + 2 * k1 * k3 + 2 * k2 * k4)
-        + (k1 * k1 + k3 * k3) * (k2 * k2 + k4 * k4)
-        - 16 * k_inf * (k1 * k2 * k3 + k2 * k3 * k4 + k3 * k4 * k1 + k4 * k1 * k2)
-        - 12 * k1 * k2 * k3 * k4
-        - 2 * (k1 * k2 + k3 * k4) * (k2 * k3 + k4 * k1)
-    )
+    """Residual of the degree-4 curvature relation for a 4-flower; exact on
+    ints.  A float power that overflows raises NumericFailure."""
+    try:
+        return (
+            16 * k_inf**4
+            - 8 * k_inf**2 * (k1 * k2 + k2 * k3 + k3 * k4 + k4 * k1 + 2 * k1 * k3 + 2 * k2 * k4)
+            + (k1 * k1 + k3 * k3) * (k2 * k2 + k4 * k4)
+            - 16 * k_inf * (k1 * k2 * k3 + k2 * k3 * k4 + k3 * k4 * k1 + k4 * k1 * k2)
+            - 12 * k1 * k2 * k3 * k4
+            - 2 * (k1 * k2 + k3 * k4) * (k2 * k3 + k4 * k1)
+        )
+    except OverflowError as exc:  # a float power
+        raise NumericFailure(f"4-flower relation overflows: {exc}") from None
 
 
 def four_flower_poly_scale(k_inf: float, k1: float, k2: float, k3: float, k4: float) -> float:

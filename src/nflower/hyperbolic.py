@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .euclid import _positive_finite
+from .euclid import _SMALLEST, NumericFailure, _positive_finite
 from .solve import _checked_spinor
 
 _DET_TOL = 1e-12
@@ -105,7 +105,10 @@ def spinor_to_horocycle(s: Spinor) -> Horocycle:
     horizontal line at height xi^2 when eta = 0."""
     if s.eta == 0.0:
         return Horocycle(math.inf, height=s.xi * s.xi)
-    return Horocycle(s.xi / s.eta, radius=1.0 / (2.0 * s.eta * s.eta))
+    tangency, d = s.xi / s.eta, 2.0 * s.eta * s.eta
+    if not (d >= _SMALLEST and math.isfinite(tangency)):  # 1/d or xi/eta overflows
+        raise NumericFailure(f"the horocycle of spinor ({s.xi!r}, {s.eta!r}) leaves the float range")
+    return Horocycle(tangency, radius=1.0 / d)
 
 
 def horocycle_to_spinor(h: Horocycle) -> Spinor:
@@ -122,6 +125,8 @@ def uhp_to_disc(z: complex | float) -> complex:
     if isinstance(z, (int, float)) and math.isinf(z):
         return complex(1.0, 0.0)
     z = complex(z)
+    if z == -1j:
+        raise ValueError("-i lies below the upper half-plane; its image would be infinite")
     return (z - 1j) / (z + 1j)
 
 

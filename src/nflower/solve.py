@@ -81,15 +81,16 @@ def solve_report(petals: Sequence[float], tol: float = DEFAULT_TOLERANCE) -> Cen
 
     The geometric root comes from the safeguarded Newton iteration on the
     angle sum of the radii (solve_central_radius); the relation residual at
-    that root must vanish to `tol` relative to the term magnitude, and an
-    independent bisection of the residual inside a +-10% bracket must land
-    on the same root to `tol` relative to it.  Both the check and the
+    that root must vanish to `tol` relative to the term magnitude, the
+    residual must change sign across the window k0 (1 +- 2 tol), clipped to
+    +-10%, and an independent bisection of the residual in that window must
+    land on the same root to `tol` relative to it.  Both the check and the
     bisection evaluate the relation divided by |P|, sin(theta) - t with t in
     [0, 1], on one list of scaled petal curvatures, each at its candidate
     central curvature (see _normalized_relation), so the value stays finite
-    for any n; a NaN at a bracket end or midpoint would still raise
+    for any n; a NaN at a window end or midpoint would still raise
     NumericFailure, and +-inf would count by its sign.  An exact zero at a
-    bracket end or a midpoint is the root.
+    window end or a midpoint is the root.
     """
     return sys.modules[__name__].CentralSolve(*_solve(petals, tol))
 
@@ -122,27 +123,21 @@ def _solve(petals: Sequence[float], tol: float) -> tuple[float, float, float, fl
             )
         return fk
 
+    # The relation's root is accepted on one sign change across the window
+    # k (1 -+ 2 tol), clipped to [0.9 k, 1.1 k]: a zero at an end is the
+    # root.  The bisection halves [0.9 k, 1.1 k] to adjacent floats (about
+    # 55 steps), so its midpoints are those of a bisection of that bracket,
+    # but one below the window takes flo's value and one above it fhi's,
+    # unevaluated; the lower end moves only to a midpoint of flo's sign.
     lo, hi = 0.9 * kd, 1.1 * kd
-    flo, fhi = f(lo), f(hi)
+    wlo, whi = max(lo, (1.0 - 2.0 * tol) * kd), min(hi, (1.0 + 2.0 * tol) * kd)
+    flo, fhi = f(wlo), f(whi)
     if flo == 0.0:
-        hi = lo
+        lo = hi = wlo
     elif fhi == 0.0:
-        lo = hi
+        lo = hi = whi
     elif (flo > 0.0) == (fhi > 0.0):
-        raise NumericFailure("relation residual does not change sign across the +-10% bracket")
-    # Halving [0.9 k, 1.1 k] reaches adjacent floats in about 55 steps; the
-    # lower end moves only to a midpoint of its sign, so that sign is flo's.
-    # When the ends of the window k (1 -+ 2 tol), strictly inside the
-    # bracket, are nonzero with flo's and fhi's signs, the root is there
-    # (and simple, with the tightest gap closing the cycle): a midpoint
-    # below the window takes flo's value and one above it fhi's, unevaluated.
-    # Otherwise, as for a wrong geometric root, every midpoint is evaluated.
-    wlo, whi = lo, hi
-    inner = (1.0 - 2.0 * tol) * kd, (1.0 + 2.0 * tol) * kd
-    if lo < inner[0] and inner[1] < hi and all(
-        fw != 0.0 and (fw > 0.0) == (fe > 0.0) for fw, fe in zip(map(f, inner), (flo, fhi))
-    ):
-        wlo, whi = inner
+        raise NumericFailure("relation residual does not change sign across k0 (1 +- 2 tol)")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         fm = flo if mid < wlo else fhi if mid > whi else f(mid)
         if fm == 0.0:
@@ -224,8 +219,10 @@ def _spinor_pairs(m: tuple[float, ...], make=_checked_spinor) -> list:
         raise NumericFailure("degenerate chain: m_0 = 0 gives eta_0 = 0")
     xi, eta = 0.0, m[0]
     spinors = [make(xi, eta)]
-    for mj in m[1:]:
+    for j, mj in enumerate(m[1:]):
         g = xi * xi + eta * eta
+        if g == 0.0:
+            raise NumericFailure(f"degenerate chain: |z_{j}|^2 underflows to 0")
         xi, eta = (mj * xi + eta) / g, (mj * eta - xi) / g
         spinors.append(make(xi, eta))
     return spinors

@@ -671,7 +671,8 @@ class TestSpinors:
             spread = rng.choice((2, 4, 8))
             petals = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
             code, _, err = run(capsys, "spinors", ",".join(map(repr, petals)))
-            # Exit 3 is only the relation bisection's known failure.
+            # Exit 3 is only the relation's refusal: no sign change across
+            # the window k0 (1 +- 2 tol).
             assert code == 0 or (code == 3 and "does not change sign" in err), err
             codes.append(code)
         assert codes.count(0) >= 582
@@ -984,3 +985,105 @@ class TestExitCodeContract:
                 answered[name] += 1
         # Each answers most flowers; the rest are typed numeric failures.
         assert all(count >= 150 for count in answered.values()), answered
+
+    # Floats from the smallest subnormal to near the largest float, with 0,
+    # negative values, inf and NaN.
+    VALUES = (
+        5e-324, 1e-310, 1e-300, 1e-200, 1e-155, 1e-100, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e100, 1e155,
+        1e200, 1e300, 1.8e308, 0.0, -0.5, -1.0, -1e300, math.inf, -math.inf, math.nan,
+    )
+
+    def test_public_functions_raise_only_value_error_or_numeric_failure(self):
+        # Each public function of nflower that takes floats, or records built
+        # from them, on seeded arguments: bad input raises ValueError and a
+        # float limit NumericFailure; no IndexError, ZeroDivisionError or
+        # OverflowError escapes.  descartes_polynomial takes an int count.
+        import nflower as nf
+
+        rng = random.Random(20261022)
+
+        def v():
+            return rng.choice(self.VALUES)
+
+        def floats(least=0):
+            return [v() for _ in range(rng.randrange(least, 7))]
+
+        def horocycle():
+            return nf.Horocycle(v(), radius=v()) if rng.random() < 0.8 else nf.Horocycle(math.inf, height=v())
+
+        def layout():
+            return nf.FlowerLayout(nf.Circle(0.0, 0.0, 1.0), [nf.Circle(v(), v(), v()) for _ in range(3)], (v(),) * 3)
+
+        calls = {
+            "angle_gap": lambda: nf.angle_gap(v(), v(), v()),
+            "angle_sum": lambda: nf.angle_sum(v(), floats()),
+            "classic_descartes_residual": lambda: nf.classic_descartes_residual(v(), v(), v(), v()),
+            "four_flower_poly_residual": lambda: nf.four_flower_poly_residual(v(), v(), v(), v(), v()),
+            "invert_in_unit_circle": lambda: nf.invert_in_unit_circle(nf.Circle(v(), v(), v())),
+            "inverted_flower": lambda: nf.inverted_flower(layout()),
+            "layout_flower": lambda: nf.layout_flower(floats()),
+            "solve_central_radius": lambda: nf.solve_central_radius(floats()),
+            "tangency_residuals": lambda: nf.tangency_residuals(layout().central, layout().petals),
+            "validate_flower": lambda: nf.validate_flower(layout()),
+            "apply_sl2": lambda: nf.apply_sl2(((v(), v()), (v(), v())), nf.Spinor(v(), v())),
+            "bracket": lambda: nf.bracket(nf.Spinor(v(), v()), nf.Spinor(v(), v())),
+            "disc_curvature_of_spinor": lambda: nf.disc_curvature_of_spinor(nf.Spinor(v(), v())),
+            "disc_horocycle_to_uhp": lambda: nf.disc_horocycle_to_uhp(nf.DiscHorocycle(v(), v())),
+            "disc_to_uhp": lambda: nf.disc_to_uhp(complex(v(), v())),
+            "horocycle_to_spinor": lambda: nf.horocycle_to_spinor(horocycle()),
+            "lambda_length_geometric": lambda: nf.lambda_length_geometric(horocycle(), horocycle()),
+            "rotate_spinor": lambda: nf.rotate_spinor(nf.Spinor(v(), v())),
+            "spinor_to_horocycle": lambda: nf.spinor_to_horocycle(nf.Spinor(v(), v())),
+            "uhp_horocycle_to_disc": lambda: nf.uhp_horocycle_to_disc(horocycle()),
+            "uhp_to_disc": lambda: nf.uhp_to_disc(complex(v(), v()) if rng.random() < 0.5 else v()),
+            "solve_central_curvature": lambda: nf.solve_central_curvature(floats(), abs(v())),
+            "solve_report": lambda: nf.solve_report(floats(), abs(v())),
+            "closure_residuals": lambda: nf.closure_residuals(nf.spinor_recursion(floats())),
+            "descartes_residual_complex": lambda: nf.descartes_residual_complex(floats()),
+            "descartes_residual_scale": lambda: nf.descartes_residual_scale(floats()),
+            "descartes_residual_subset": lambda: nf.descartes_residual_subset(floats()),
+            "eta_closed_form": lambda: nf.eta_closed_form(floats(), rng.randrange(-1, 6)),
+            "flat_curvatures": lambda: nf.flat_curvatures(nf.spinor_recursion(floats())),
+            "flat_flower_residual": lambda: nf.flat_flower_residual(floats()),
+            "geometric_spinor_chain": lambda: nf.geometric_spinor_chain(floats()),
+            "kappa_plus_one": lambda: nf.kappa_plus_one(floats(), rng.randrange(-1, 6)),
+            "m_from_normalized": lambda: nf.m_from_normalized(floats()),
+            "parallelogram_invariants": lambda: nf.parallelogram_invariants(nf.spinor_recursion(floats())),
+            "spinor_recursion": lambda: nf.spinor_recursion(floats()),
+            "xi_from_etas": lambda: nf.xi_from_etas(floats(), rng.randrange(-1, 6)),
+        }
+        functions = {name for name in nf.__all__ if not isinstance(getattr(nf, name), type)}
+        assert set(calls) == functions - {"descartes_polynomial"}
+        escaped = []
+        for name, call in calls.items():
+            for _ in range(150):
+                try:
+                    call()
+                except (ValueError, NumericFailure):
+                    pass
+                except Exception as exc:  # anything else breaks the contract
+                    escaped.append((name, repr(exc)))
+        assert escaped == []
+
+    def test_float_limits_and_bad_input_are_typed(self):
+        # Calls that raised IndexError, ZeroDivisionError or OverflowError: a
+        # list with no petal, a zero radius, and squares or products of tiny
+        # values that underflow to 0 or powers that overflow.  Where the
+        # value is a finite float it is returned.
+        import nflower as nf
+
+        chain = nf.SpinorChain((nf.Spinor(0.0, 1e-200), nf.Spinor(1e200, 1e-200), nf.Spinor(2e200, 1e-200)))
+        expected = [
+            (lambda: nf.angle_sum(1.0, []), ValueError),
+            (lambda: nf.angle_sum(0.0, [1.0, 1.0, 1.0]), ValueError),
+            (lambda: nf.spinor_recursion([1e-200, 1.0, 1.0]), NumericFailure),
+            (lambda: nf.xi_from_etas([1e-200, 1e-200, 1.0], 2), NumericFailure),
+            (lambda: nf.spinor_to_horocycle(nf.Spinor(1.0, 1e-200)), NumericFailure),
+            (lambda: nf.closure_residuals(chain), NumericFailure),
+            (lambda: nf.four_flower_poly_residual(1e300, 1.0, 1.0, 1.0, 1.0), NumericFailure),
+            (lambda: nf.uhp_to_disc(-1j), ValueError),
+        ]
+        for call, error in expected:
+            with pytest.raises(error):
+                call()
+        assert nf.flat_flower_residual([1e-200, 1e-200, 1.0]) == 1e200

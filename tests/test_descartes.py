@@ -770,14 +770,16 @@ class TestCentralCurvatureSolver:
             assert abs(rep.residual) <= 1e-9 * rep.residual_scale
 
     def test_root_agreement_is_relative(self, monkeypatch):
-        # Move the relation root 5% away from the geometric root k0 = 6.46e-12.
-        # An absolute tolerance of 1e-9 max(1, k0) would accept it.
+        # Move the relation root 1.5 tol away from the geometric root
+        # k0 = 6.46e-12, inside the window k0 (1 +- 2 tol) where the
+        # bisection finds it.  An absolute tolerance of 1e-9 max(1, k0) would
+        # accept it.
         real = solve_module._normalized_relation
         calls = []
 
         def shifted(petals, k):
             calls.append(1)
-            return real(petals, k if len(calls) == 1 else k / 1.05)
+            return real(petals, k if len(calls) == 1 else k / (1.0 + 1.5e-9))
 
         monkeypatch.setattr(solve_module, "_normalized_relation", shifted)
         with pytest.raises(NumericFailure, match="disagree"):
@@ -810,7 +812,7 @@ class TestCentralCurvatureSolver:
     @staticmethod
     def _patch_kernel(monkeypatch, call, value):
         """Replace the relation's value at the given kernel call (0: the
-        check, 1 and 2: the bracket ends, 3 on: midpoints).  Returns the
+        check, 1 and 2: the window ends, 3 on: midpoints).  Returns the
         list of the (petals, k) arguments of the calls made, for asserting
         that the patched one was reached."""
         real = solve_module._normalized_relation
@@ -854,33 +856,80 @@ class TestCentralCurvatureSolver:
 
     @pytest.mark.parametrize("call, factor", [(1, 0.9), (2, 1.1)])
     def test_zero_at_bracket_end_is_the_root(self, monkeypatch, call, factor):
+        # At tol 0.05 the window k0 (1 +- 2 tol) is the whole bracket
+        # [0.9 k0, 1.1 k0], so its ends are the bracket's.
         k0 = solve_report([1.0, 1.0, 1.0]).central_curvature
         calls = self._patch_kernel(monkeypatch, call, lambda res: 0.0)
         with pytest.raises(NumericFailure) as exc:
-            solve_report([1.0, 1.0, 1.0])
+            solve_report([1.0, 1.0, 1.0], tol=0.05)
         assert str(exc.value) == f"geometric and relation roots disagree: {k0!r} vs {factor * k0!r}"
         assert len(calls) == 3
 
     @pytest.mark.parametrize("call", [5, 10])
     def test_zero_at_midpoint_is_the_root(self, monkeypatch, call):
-        # Calls 3 and 4 are the window's ends; midpoints are evaluated from
-        # call 5 on.
+        # Calls 1 and 2 are the window's ends; midpoints are evaluated from
+        # call 3 on.
         calls = self._patch_kernel(monkeypatch, call, lambda res: 0.0)
         rep = solve_report([1.0, 1.0, 1.0], tol=1e-2)
         assert len(calls) == call + 1
         assert rep.polished_curvature == calls[call][1] / 0.125
 
-    @pytest.mark.parametrize("call", [3, 4])
-    @pytest.mark.parametrize("value", [lambda res: 0.0, lambda res: -res])
-    def test_window_end_without_its_sign_bisects_the_bracket(self, value, monkeypatch, call):
-        # A window end that is zero or has the other end's sign leaves every
-        # midpoint of the +-10% bracket to be evaluated, on to the same root;
-        # a failed lower end is the last window call.
+    @pytest.mark.parametrize("call", [1, 2])
+    @pytest.mark.parametrize(
+        "value, message", [(lambda res: 0.0, "disagree"), (lambda res: -res, "does not change sign")],
+        ids=["zero", "flipped"],
+    )
+    def test_window_end_without_its_sign_refuses(self, value, message, monkeypatch, call):
+        # A zero at a window end k0 (1 -+ 2 tol) is the root, 2 tol away
+        # from k0; an end with the other end's sign leaves no sign change.
+        # Either is refused after the check and the two ends.
         petals, tol = [1.0, 1.0, 1.0], 1e-2
-        expected, evaluations = full_bisection_solve(petals, tol)
+        k0 = solve_report(petals, tol).central_curvature
         calls = self._patch_kernel(monkeypatch, call, value)
-        assert tuple(map(float.hex, dataclasses.astuple(solve_report(petals, tol)))) == expected
-        assert len(calls) == evaluations + call - 2
+        with pytest.raises(NumericFailure, match=message) as exc:
+            solve_report(petals, tol)
+        if message == "disagree":
+            end = (1.0 - 2.0 * tol if call == 1 else 1.0 + 2.0 * tol) * k0
+            assert str(exc.value) == f"geometric and relation roots disagree: {k0!r} vs {end!r}"
+        assert len(calls) == 3
+
+    def test_wrong_geometric_root_is_refused_after_three_evaluations(self, monkeypatch):
+        # A geometric root 1e-6 off passes the check at tol 3e-7 but leaves
+        # the relation's root outside the window k0 (1 +- 2 tol): the two
+        # window ends have one sign.  The full bisection took 55 evaluations
+        # to refuse it.
+        real = euclid_module.solve_central_radius
+        monkeypatch.setattr(euclid_module, "solve_central_radius", lambda radii: real(radii) * (1.0 + 1e-6))
+        calls = self._patch_kernel(monkeypatch, 0, lambda res: res)
+        with pytest.raises(NumericFailure, match="does not change sign"):
+            solve_report([1.0, 2.0, 3.0], tol=3e-7)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("tol", [0.05, 0.1, 0.5])
+    def test_window_as_wide_as_the_bracket_is_the_full_bisection(self, monkeypatch, tol):
+        # From tol 0.05 on the window is clipped to [0.9 k0, 1.1 k0]: every
+        # midpoint is evaluated, as in the full bisection.
+        real = solve_module._normalized_relation
+        log = []
+
+        def counted(petals, k):
+            log.append(k)
+            return real(petals, k)
+
+        monkeypatch.setattr(solve_module, "_normalized_relation", counted)
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randrange(3, 41)
+            spread = rng.choice((0.5, 2, 8, 50, 300))
+            petals = [10.0 ** rng.uniform(-spread, spread) for _ in range(n)]
+            expected, evaluations = full_bisection_solve(petals, tol)
+            del log[:]
+            try:
+                got = tuple(map(float.hex, solve_module._solve(petals, tol)))
+            except NumericFailure:
+                got = None
+            assert got == (expected if isinstance(expected, tuple) else None), (tol, petals)
+            assert len(log) == evaluations, (tol, petals)
 
     def test_solve_with_composed_kernel_is_bit_identical(self, monkeypatch):
         # The 120 flowers of the seed-41 sweep, one of which failed with "does
@@ -901,10 +950,11 @@ class TestCentralCurvatureSolver:
         assert [row for row in expected if row[0] is NumericFailure] == []
 
     def test_walk_matches_the_full_bisection(self, monkeypatch):
-        # n 3..120, spreads 1e+-0.5 to 1e+-300: evaluating only the
-        # midpoints inside k0 (1 +- 2 tol) gives the full bisection's bits or
-        # refusal.  Its evaluations fall with tol, about 10 for each factor
-        # of 1000; the full bisection makes 53.
+        # n 3..120, spreads 1e+-0.5 to 1e+-300: evaluating only the window
+        # ends and the midpoints inside k0 (1 +- 2 tol) gives the full
+        # bisection's bits where it answers, and refuses where it refuses.
+        # Its evaluations fall with tol, about 10 for each factor of 1000;
+        # the full bisection makes 53.
         real = solve_module._normalized_relation
         log = []
 
@@ -914,7 +964,7 @@ class TestCentralCurvatureSolver:
 
         monkeypatch.setattr(solve_module, "_normalized_relation", counted)
         rng = random.Random(7)
-        for tol, most in ((1e-12, 21), (1e-9, 31), (1e-6, 41), (1e-3, 51)):
+        for tol, most in ((1e-12, 19), (1e-9, 29), (1e-6, 39), (1e-3, 49)):
             walked = []
             for _ in range(150):
                 n = rng.randrange(3, 121)
@@ -924,9 +974,9 @@ class TestCentralCurvatureSolver:
                 start = len(log)
                 try:
                     got = tuple(map(float.hex, solve_module._solve(petals, tol)))
-                except NumericFailure as exc:
-                    got = str(exc)
-                assert got == expected, (tol, petals)
+                except NumericFailure:
+                    got = None
+                assert got == (expected if isinstance(expected, tuple) else None), (tol, petals)
                 walked.append(len(log) - start)
             assert statistics.median(walked) <= most, tol
 
@@ -953,7 +1003,7 @@ class TestCentralCurvatureSolver:
     def test_seeded_sweep_matches_closed_forms_or_fails_typed(self):
         # Curvature ratios log-uniform up to 1e+-8, n from 3 to 500.  Each
         # flower solves (closed forms where they apply), except where the
-        # relation has a second root inside the +-10% bisection bracket.
+        # relation does not change sign across k0 (1 +- 2 tol).
         solved = 0
         for petals in sweep_flowers(random.Random(41), 120, 8.0):
             n = len(petals)
